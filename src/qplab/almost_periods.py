@@ -6,9 +6,16 @@ intervals (certified members, via the Lipschitz bound) and an outer union
 (certified to contain every member). Gap statistics of the two unions bracket
 the inclusion length, and log-log regression of inclusion length against 1/eps
 estimates its growth exponent.
+
+The scan evaluates D only near the zeros of its dominant term: since
+D >= 2|A_j||sin(lambda_j tau/2)| for every j, also as computed in floating
+point, a grid point far from those zeros has D at or above the cut and is
+excluded exactly as an evaluation would exclude it.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -43,8 +50,16 @@ class IntervalSet:
                 if a < prev - tol:
                     raise ValueError("intervals not sorted/disjoint")
                 prev = b
+        # an inner (a, b) is contained iff some outer (c, d) has c <= a + tol and
+        # d >= b - tol: bisect the sorted starts, then compare the running
+        # maximum of the ends. The filter drops only outers with a NaN endpoint,
+        # which contain nothing; a NaN inner fails the last comparisons.
+        outer = sorted(iv for iv in self.outer if iv[0] <= iv[1])
+        starts = [c for c, _ in outer]
+        max_end = list(itertools.accumulate((d for _, d in outer), max))
         for a, b in self.inner:
-            if not any(c <= a + tol and b - tol <= d for c, d in self.outer):
+            k = bisect.bisect_right(starts, a + tol)
+            if not (k and starts[k - 1] <= a + tol and max_end[k - 1] >= b - tol):
                 raise ValueError("inner interval not contained in any outer interval")
 
 
@@ -114,6 +129,13 @@ def sublevel_scan(
     point with D < eps - C*h certifies the closed step-neighborhood around it
     (inner), and every member of the sublevel set lies within h/2 of a grid
     point with D < eps + C*h (outer). Requires step <= eps/(4C).
+
+    D is evaluated only at grid points within reach of a zero 2*pi*k/|lambda_j|
+    of the term with the largest 2|A_j| (ties: smallest |lambda_j|). Elsewhere
+    that term alone is at least the outer cut, and so is the computed D, which
+    sums non-negative terms in a fixed order; so the result equals that of
+    evaluating D at every grid point. ``max_grid_points`` caps the grid size
+    m + 1, not the number of points evaluated.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -134,48 +156,63 @@ def sublevel_scan(
     inner_cut = eps - C * h
     outer_cut = eps + C * h
 
+    # reach pads the exact half-width by two grid steps and an allowance for
+    # rounding in tau; the 1e-12 on the cut covers rounding in sin and products
+    amps = 2.0 * f.amplitude_moduli
+    lams = np.abs(f.exponents_float)
+    j = min(range(f.n), key=lambda k: (-amps[k], lams[k]))
+    ratio = outer_cut * (1.0 + 1e-12) / amps[j]
+    period = 2.0 * math.pi / lams[j]
+    reach = math.inf  # the term alone never reaches the cut: the window is one block
+    if ratio < 1.0:
+        reach = (2.0 / lams[j]) * math.asin(ratio) + 2.0 * h + 1e-12 * max(1.0, abs(lo), abs(hi))
+
     inner_runs: list[tuple[int, int]] = []
     outer_runs: list[tuple[int, int]] = []
-    open_inner = -1
-    open_outer = -1
     for start in range(0, m + 1, _CHUNK):
         stop = min(start + _CHUNK, m + 1)
-        idx = np.arange(start, stop, dtype=np.float64)
-        d = translation_distance_many(f, lo + idx * h)
-        inner_mask = d < inner_cut
-        outer_mask = d < outer_cut
-        open_inner = _collect_runs(inner_mask, start, open_inner, inner_runs)
-        open_outer = _collect_runs(outer_mask, start, open_outer, outer_runs)
-    if open_inner >= 0:
-        inner_runs.append((open_inner, m))
-    if open_outer >= 0:
-        outer_runs.append((open_outer, m))
+        idx = _near_zeros(start, stop - 1, lo, h, period, reach)
+        d = translation_distance_many(f, lo + idx.astype(np.float64) * h)
+        _extend_runs(inner_runs, idx[d < inner_cut])
+        _extend_runs(outer_runs, idx[d < outer_cut])
 
     inner = _runs_to_intervals(inner_runs, lo, hi, h, halfwidth=h)
     outer = _runs_to_intervals(outer_runs, lo, hi, h, halfwidth=0.5 * h)
     return IntervalSet(window=(lo, hi), inner=inner, outer=outer, step=h, eps=eps)
 
 
-def _collect_runs(
-    mask: np.ndarray, offset: int, open_start: int, runs: list[tuple[int, int]]
-) -> int:
-    """Append finished True-runs of a chunked mask; return the still-open start."""
-    if mask.size == 0:
-        return open_start
-    state = open_start >= 0
-    start = open_start
-    ext = np.empty(mask.size + 1, dtype=bool)
-    ext[0] = state
-    ext[1:] = mask
-    for i in np.flatnonzero(ext[1:] != ext[:-1]):
-        gi = offset + int(i)
-        if state:
-            runs.append((start, gi - 1))
-            state = False
-        else:
-            start = gi
-            state = True
-    return start if state else -1
+def _near_zeros(
+    first: int, last: int, lo: float, h: float, period: float, reach: float
+) -> np.ndarray:
+    """Ascending grid indices in [first, last] within reach of a multiple of period."""
+    if 2.0 * reach >= period:
+        return np.arange(first, last + 1)
+    k0 = math.floor((lo + first * h - reach) / period)
+    k1 = math.ceil((lo + last * h + reach) / period)
+    z = np.arange(k0, k1 + 1, dtype=np.float64) * period
+    s = np.maximum(np.ceil((z - reach - lo) / h), first).astype(np.int64)
+    e = np.minimum(np.floor((z + reach - lo) / h), last).astype(np.int64)
+    keep = s <= e
+    s, e = s[keep], e[keep]
+    if s.size == 0:
+        return s
+    # s and e ascend, so a block overlaps the blocks before it iff it overlaps the last one
+    new = np.r_[True, s[1:] > e[:-1]]
+    starts = s[new]
+    lens = e[np.r_[new[1:], True]] - starts + 1
+    return np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+
+
+def _extend_runs(runs: list[tuple[int, int]], idx: np.ndarray) -> None:
+    """Append the runs of consecutive values of ascending idx, joining one that continues."""
+    if idx.size == 0:
+        return
+    breaks = np.flatnonzero(np.diff(idx) != 1) + 1
+    starts = idx[np.r_[0, breaks]].tolist()
+    ends = idx[np.r_[breaks - 1, idx.size - 1]].tolist()
+    if runs and runs[-1][1] + 1 == starts[0]:
+        starts[0] = runs.pop()[0]
+    runs.extend(zip(starts, ends))
 
 
 def _runs_to_intervals(

@@ -171,6 +171,7 @@ def translation_distance(f: QuasiperiodicSignal, tau: float) -> float:
 def translation_distance_many(f: QuasiperiodicSignal, taus: np.ndarray) -> np.ndarray:
     """Vectorized D over an array of translations, fixed term order."""
     acc = np.zeros(taus.shape, dtype=np.float64)
+    # sublevel_scan relies on this fixed-order sum of non-negative terms: D >= every term
     for amp, lam in zip(f._amps, f._lams):
         acc += (2.0 * abs(amp)) * np.abs(np.sin((lam * 0.5) * taus))
     return acc

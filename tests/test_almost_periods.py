@@ -251,28 +251,23 @@ def test_interval_set_validation():
         IntervalSet(window=(0.0, 1.0), inner=(), outer=((0.6, 0.7), (0.1, 0.2)), step=0.01, eps=0.1)
 
 
+def test_interval_set_many_intervals_accepted():
+    outer = tuple((float(k), k + 0.5) for k in range(10_000))
+    inner = tuple((k + 0.1, k + 0.4) for k in range(10_000))
+    s = IntervalSet(window=(0.0, 10_000.0), inner=inner, outer=outer, step=0.01, eps=0.1)
+    assert len(s.inner) == 10_000
+
+
+def test_interval_set_inner_straddling_two_outers_rejected():
+    with pytest.raises(ValueError, match="not contained"):
+        IntervalSet(
+            window=(0.0, 1.0), inner=((0.3, 0.7),), outer=((0.1, 0.5), (0.5, 0.9)), step=0.01, eps=0.1
+        )
+
+
 def test_length_curve_records_signal_id(golden):
     curve = length_curve(golden, [0.4])
     assert curve.signal_id == "golden"
-
-
-def test_collect_runs_chunked_matches_whole():
-    from qplab.almost_periods import _collect_runs
-
-    rng = np.random.default_rng(0)
-    mask = rng.random(1000) < 0.3
-    runs_whole = []
-    open_start = _collect_runs(mask, 0, -1, runs_whole)
-    if open_start >= 0:
-        runs_whole.append((open_start, 999))
-    for chunk in (1, 7, 64, 333):
-        runs = []
-        open_start = -1
-        for start in range(0, 1000, chunk):
-            open_start = _collect_runs(mask[start : start + chunk], start, open_start, runs)
-        if open_start >= 0:
-            runs.append((open_start, 999))
-        assert runs == runs_whole, chunk
 
 
 def test_scan_chunk_size_does_not_change_result(golden, monkeypatch):

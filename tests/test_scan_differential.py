@@ -1,0 +1,140 @@
+"""Differential gate: sublevel_scan against a dense reference scan.
+
+sublevel_scan evaluates D only near the zeros of its dominant term. The
+reference below evaluates D at every grid point of the window, in chunks, and
+builds the runs with a chunk-stitching run collector. Both must return equal
+IntervalSets, bit for bit.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from qplab.almost_periods import IntervalSet, _runs_to_intervals, sublevel_scan
+from qplab.signal import QuasiperiodicSignal, lipschitz_constant, preset, translation_distance_many
+from qplab.verify import GOLDEN_EPS_LADDER, SQRT23_EPS_LADDER
+
+CHUNK = 2**21
+
+
+def _collect_runs(mask, offset, open_start, runs):
+    """Append finished True-runs of a chunked mask; return the still-open start."""
+    if mask.size == 0:
+        return open_start
+    state = open_start >= 0
+    start = open_start
+    ext = np.empty(mask.size + 1, dtype=bool)
+    ext[0] = state
+    ext[1:] = mask
+    for i in np.flatnonzero(ext[1:] != ext[:-1]):
+        gi = offset + int(i)
+        if state:
+            runs.append((start, gi - 1))
+            state = False
+        else:
+            start = gi
+            state = True
+    return start if state else -1
+
+
+def dense_sublevel_scan(f, eps, window, step):
+    """Reference scan: D at every grid point, same grid and cuts as sublevel_scan."""
+    lo, hi = window
+    C = lipschitz_constant(f)
+    m = int(math.ceil((hi - lo) / step))
+    h = (hi - lo) / m
+    inner_cut = eps - C * h
+    outer_cut = eps + C * h
+
+    inner_runs = []
+    outer_runs = []
+    open_inner = -1
+    open_outer = -1
+    for start in range(0, m + 1, CHUNK):
+        stop = min(start + CHUNK, m + 1)
+        idx = np.arange(start, stop, dtype=np.float64)
+        d = translation_distance_many(f, lo + idx * h)
+        open_inner = _collect_runs(d < inner_cut, start, open_inner, inner_runs)
+        open_outer = _collect_runs(d < outer_cut, start, open_outer, outer_runs)
+    if open_inner >= 0:
+        inner_runs.append((open_inner, m))
+    if open_outer >= 0:
+        outer_runs.append((open_outer, m))
+
+    inner = _runs_to_intervals(inner_runs, lo, hi, h, halfwidth=h)
+    outer = _runs_to_intervals(outer_runs, lo, hi, h, halfwidth=0.5 * h)
+    return IntervalSet(window=(lo, hi), inner=inner, outer=outer, step=h, eps=eps)
+
+
+def assert_matches_dense(f, eps, window):
+    step = eps / (4.0 * lipschitz_constant(f))
+    fast = sublevel_scan(f, eps, window, step)
+    assert fast == dense_sublevel_scan(f, eps, window, step)
+    return fast
+
+
+def random_signal(seed):
+    """n = 1-4 terms, unequal amplitude moduli, exponents of both signs."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    moduli = rng.uniform(0.2, 1.5, n)
+    phases = rng.uniform(0.0, 2.0 * math.pi, n)
+    lams = rng.choice([-1.0, 1.0], n) * rng.uniform(0.3, 8.0, n)
+    terms = [(complex(r * math.cos(p), r * math.sin(p)), float(l)) for r, p, l in zip(moduli, phases, lams)]
+    return QuasiperiodicSignal(terms), rng
+
+
+LADDER_CASES = [("golden", e) for e in GOLDEN_EPS_LADDER] + [("sqrt23", e) for e in SQRT23_EPS_LADDER]
+
+
+@pytest.mark.parametrize("name,eps", LADDER_CASES)
+def test_ladder_windows_match_dense(name, eps):
+    # the first two windows length_curve scans at this eps
+    f = preset(name)
+    for width in (4.0 / eps, 8.0 / eps):
+        assert_matches_dense(f, eps, (0.0, width))
+
+
+@pytest.mark.parametrize(
+    "name,eps,window",
+    [
+        ("golden", 0.1, (-60.0, 60.0)),
+        ("golden", 0.05, (-200.0, -150.0)),
+        ("golden", 0.1, (-100030.0, -100000.0)),
+        ("golden", 0.1, (100000.0, 100030.0)),
+        ("sqrt23", 0.2, (-0.3, 0.2)),
+        ("sqrt23", 0.1, (-250.0, 40.0)),
+    ],
+)
+def test_negative_and_straddling_windows_match_dense(name, eps, window):
+    assert_matches_dense(preset(name), eps, window)
+
+
+def test_runs_split_across_gathers_match_dense(monkeypatch):
+    # far from 0 on a window ending near 0, tau rounds by more than the
+    # interval-merge tolerance (scaled by |hi|), so a run cut at a gather
+    # boundary must be rejoined as indices, not as intervals
+    import qplab.almost_periods as ap
+
+    monkeypatch.setattr(ap, "_CHUNK", 97)
+    f = QuasiperiodicSignal([(1.0, 0.05), (0.3, 0.05 * 2.0**0.5)])
+    assert_matches_dense(f, 0.1, (-99999.7, 0.3))
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_random_signals_match_dense(seed):
+    f, rng = random_signal(seed)
+    top = 2.0 * float(np.max(f.amplitude_moduli))
+    # even seeds cut below the dominant term's peak 2 max|A_j|, odd seeds above it
+    frac = rng.uniform(0.05, 0.95) if seed % 2 == 0 else rng.uniform(1.0, 2.0)
+    lo = float(rng.uniform(-200.0, 100.0))
+    assert_matches_dense(f, frac * top, (lo, lo + float(rng.uniform(5.0, 150.0))))
+
+
+@pytest.mark.parametrize("frac", [0.999, 1.0, 1.5])
+def test_eps_near_and_above_dominant_peak_matches_dense(frac):
+    # near and above 2 max|A_j| the dominant term excludes nothing, so the
+    # window is scanned as one block
+    f = QuasiperiodicSignal([(1.0, 1.0), (0.5, -2.0 ** 0.5)])
+    scan = assert_matches_dense(f, frac * 2.0, (-20.0, 30.0))
+    assert scan.outer

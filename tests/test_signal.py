@@ -15,6 +15,7 @@ from qplab.signal import (
     sup_oracle,
     suspected_rational_relation,
     translation_distance,
+    translation_distance_many,
 )
 
 # 2*|sin(55*pi*phi)| computed with mpmath at 200 bits
@@ -70,6 +71,18 @@ def test_translation_distance_lipschitz(golden):
     for a, b in zip(taus, perturbed):
         lhs = abs(translation_distance(golden, float(a)) - translation_distance(golden, float(b)))
         assert lhs <= C * abs(a - b) + 1e-12
+
+
+def test_translation_distance_many_bounds_every_term(golden, sqrt23):
+    # sublevel_scan excludes a grid point once one term alone reaches the cut
+    unequal = QuasiperiodicSignal([(0.3 - 1.1j, -7.25), (1.4, 2.0**0.5), (-0.2 + 0.5j, 0.31)])
+    rng = np.random.default_rng(23)
+    taus = np.concatenate([rng.uniform(-50, 50, 2000), rng.uniform(-2e5, 2e5, 2000)])
+    for f in (golden, sqrt23, unequal):
+        d = translation_distance_many(f, taus)
+        for amp, lam in zip(f._amps, f._lams):
+            term = (2.0 * abs(amp)) * np.abs(np.sin((lam * 0.5) * taus))
+            assert np.all(d >= term)
 
 
 def test_lipschitz_constant_values(golden, single_term):
