@@ -309,15 +309,9 @@ def fit_exponent(curve: LengthCurve) -> ExponentFit:
     usable = [s for s in curve.resolved_samples() if s.L_upper > 0]
     if len(usable) < 3:
         raise TooFewSamples(f"need >= 3 resolved samples with L > 0, have {len(usable)}")
-    x = np.array([math.log(1.0 / s.eps) for s in usable])
-    y = np.array([math.log(s.L_upper) for s in usable])
-    xm = x.mean()
-    ym = y.mean()
-    denom = float(((x - xm) ** 2).sum())
-    slope = float(((x - xm) * (y - ym)).sum() / denom)
-    intercept = float(ym - slope * xm)
-    residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    ratios = [yi / xi for xi, yi in zip(x, y) if abs(xi) > 1e-9]
+    slope, intercept, residual = loglog_fit([s.eps for s in usable], [s.L_upper for s in usable])
+    logs = [(math.log(1.0 / s.eps), math.log(s.L_upper)) for s in usable]
+    ratios = [y / x for x, y in logs if abs(x) > 1e-9]
     max_ratio = max(ratios) if ratios else math.nan
     return ExponentFit(
         slope=slope,
@@ -326,3 +320,16 @@ def fit_exponent(curve: LengthCurve) -> ExponentFit:
         eps_range=(usable[0].eps, usable[-1].eps),
         max_ratio=max_ratio,
     )
+
+
+def loglog_fit(eps: Sequence[float], values: Sequence[float]) -> tuple[float, float, float]:
+    """Least-squares fit of ln(value) against ln(1/eps): (slope, intercept, RMS residual)."""
+    x = np.array([math.log(1.0 / e) for e in eps])
+    y = np.array([math.log(v) for v in values])
+    xm = x.mean()
+    ym = y.mean()
+    denom = float(((x - xm) ** 2).sum())
+    slope = float(((x - xm) * (y - ym)).sum() / denom)
+    intercept = float(ym - slope * xm)
+    residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    return slope, intercept, residual

@@ -8,9 +8,11 @@ configuration, and identical configurations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
+from typing import get_args, get_type_hints
 
 from mpmath import mp
 
@@ -39,19 +41,6 @@ from .signal import (
     lipschitz_constant,
     parse_signal,
     suspected_rational_relation,
-)
-
-COMMANDS = (
-    "eval",
-    "scan",
-    "length-curve",
-    "di-fit",
-    "cf",
-    "badness",
-    "simdenom",
-    "kronecker",
-    "dimension",
-    "verify",
 )
 
 _CONSTANTS = {
@@ -91,18 +80,30 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        if self.command not in _COMMAND_TABLE:
             raise ConfigError(f"unknown command {self.command!r}")
-        if self.format not in ("csv", "json"):
+        if self.format not in _FLAG_CHOICES["format"]:
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         for name in ("depth", "qmax", "grid", "min_hits", "max_doublings"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
         if self.tmax is not None and self.tmax <= 0:
             raise ConfigError("tmax must be positive")
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if kind is float and value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+# field name -> int, float or str, from the annotations; drives both the flag
+# types and the coercion of config-file values
+_FIELD_TYPES = {
+    name: next(t for t in get_args(hint) or (hint,) if t is not type(None))
+    for name, hint in get_type_hints(RunConfig).items()
+}
 
 
 def parse_constant(token: str):
@@ -139,13 +140,16 @@ def parse_eps_spec(text: str) -> list[float]:
             raise ConfigError(f"bad eps range {text!r}") from exc
         if start <= 0 or count < 1 or factor <= 1:
             raise ConfigError("eps range needs start > 0, count >= 1, factor > 1")
-        return [start * factor**-k for k in range(count)]
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad eps list {text!r}") from exc
-    if not values:
-        raise ConfigError("empty eps list")
+        values = [start * factor**-k for k in range(count)]
+    else:
+        try:
+            values = [float(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"bad eps list {text!r}") from exc
+        if not values:
+            raise ConfigError("empty eps list")
+    if not all(0 < e < math.inf for e in values):
+        raise ConfigError(f"eps values must be finite and positive, got {text!r}")
     return values
 
 
@@ -157,6 +161,8 @@ def parse_window_spec(text: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise ConfigError(f"bad window {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"window endpoints must be finite, got {text!r}")
     if hi <= lo:
         raise ConfigError("window must have positive width")
     return lo, hi
@@ -182,19 +188,11 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-_INT_KEYS = {"depth", "qmax", "grid", "seed", "min_hits", "max_doublings", "precision_bits"}
-_FLOAT_KEYS = {"step", "t", "delta", "tmax", "initial_width"}
-
-
 def _coerce(key: str, value: str):
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
+        return _FIELD_TYPES[key](value)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
-    return value
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -268,12 +266,16 @@ def _cmd_eval(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_scan(config: RunConfig) -> int:
-    _require(config, "signal", "eps", "window")
+def _single_eps(config: RunConfig) -> float:
     eps_values = parse_eps_spec(config.eps)
     if len(eps_values) != 1:
-        raise ConfigError("scan takes a single eps")
-    eps = eps_values[0]
+        raise ConfigError(f"{config.command} takes a single eps")
+    return eps_values[0]
+
+
+def _cmd_scan(config: RunConfig) -> int:
+    _require(config, "signal", "eps", "window")
+    eps = _single_eps(config)
     window = parse_window_spec(config.window)
     f = _parse_signal_checked(config.signal)
     step = config.step if config.step is not None else eps / (4.0 * lipschitz_constant(f))
@@ -294,8 +296,17 @@ def _cmd_scan(config: RunConfig) -> int:
     return 0
 
 
-def _curve_rows(curve) -> list[dict]:
-    return [
+def _cmd_length_curve(config: RunConfig) -> int:
+    """length-curve, and di-fit, which adds the growth-exponent fit."""
+    _require(config, "signal", "eps")
+    f = _parse_signal_checked(config.signal)
+    curve = length_curve(
+        f,
+        parse_eps_spec(config.eps),
+        policy=_window_policy(config),
+        max_grid_points=config.grid,
+    )
+    rows = [
         {
             "eps": s.eps,
             "L_lower": s.L_lower,
@@ -305,48 +316,16 @@ def _curve_rows(curve) -> list[dict]:
         }
         for s in curve.samples
     ]
-
-
-def _cmd_length_curve(config: RunConfig) -> int:
-    _require(config, "signal", "eps")
-    f = _parse_signal_checked(config.signal)
-    curve = length_curve(
-        f,
-        parse_eps_spec(config.eps),
-        policy=_window_policy(config),
-        max_grid_points=config.grid,
-    )
-    rows = _curve_rows(curve)
     payload = {"signal_id": curve.signal_id, "samples": rows}
-    _emit(
-        config,
-        payload,
-        columns=("eps", "L_lower", "L_upper", "window", "resolved"),
-        rows=rows,
-    )
-    return 0
-
-
-def _cmd_di_fit(config: RunConfig) -> int:
-    _require(config, "signal", "eps")
-    f = _parse_signal_checked(config.signal)
-    curve = length_curve(
-        f,
-        parse_eps_spec(config.eps),
-        policy=_window_policy(config),
-        max_grid_points=config.grid,
-    )
-    fit = fit_exponent(curve)
-    rows = _curve_rows(curve)
-    payload = {
-        "signal_id": curve.signal_id,
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "residual": fit.residual,
-        "max_ratio": fit.max_ratio,
-        "eps_range": list(fit.eps_range),
-        "samples": rows,
-    }
+    if config.command == "di-fit":
+        fit = fit_exponent(curve)
+        payload.update(
+            slope=fit.slope,
+            intercept=fit.intercept,
+            residual=fit.residual,
+            max_ratio=fit.max_ratio,
+            eps_range=list(fit.eps_range),
+        )
     _emit(
         config,
         payload,
@@ -397,10 +376,7 @@ def _cmd_simdenom(config: RunConfig) -> int:
 
 def _cmd_kronecker(config: RunConfig) -> int:
     _require(config, "signal", "eps", "kappa")
-    eps_values = parse_eps_spec(config.eps)
-    if len(eps_values) != 1:
-        raise ConfigError("kronecker takes a single eps")
-    eps = eps_values[0]
+    eps = _single_eps(config)
     f = _parse_signal_checked(config.signal)
     lams = [float(l) for l in f.exponents_float]
     kaps = [float(k) for k in parse_constant_list(config.kappa)]
@@ -450,18 +426,43 @@ def _cmd_verify(config: RunConfig) -> int:
     return 0 if result["passed"] else 3
 
 
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "scan": _cmd_scan,
-    "length-curve": _cmd_length_curve,
-    "di-fit": _cmd_di_fit,
-    "cf": _cmd_cf,
-    "badness": _cmd_badness,
-    "simdenom": _cmd_simdenom,
-    "kronecker": _cmd_kronecker,
-    "dimension": _cmd_dimension,
-    "verify": _cmd_verify,
+# RunConfig fields every command takes as flags, besides --config
+_COMMON_FLAGS = (
+    "signal", "eps", "window", "step", "seed", "grid", "out", "format", "precision_bits"
+)
+_CURVE_FLAGS = ("initial_width", "min_hits", "max_doublings")
+
+# command -> (handler, help, RunConfig fields it adds as flags)
+_COMMAND_TABLE = {
+    "eval": (_cmd_eval, "evaluate a signal at one time", ("t",)),
+    "scan": (_cmd_scan, "bracket the eps-almost-period set on a window", ()),
+    "length-curve": (
+        _cmd_length_curve, "inclusion-length bounds over an eps ladder", _CURVE_FLAGS
+    ),
+    "di-fit": (_cmd_length_curve, "growth exponent of the inclusion length", _CURVE_FLAGS),
+    "cf": (_cmd_cf, "continued-fraction expansion with certified quotients", ("x", "depth")),
+    "badness": (_cmd_badness, "badly-approximable score of a tuple", ("alpha", "qmax")),
+    "simdenom": (_cmd_simdenom, "smallest simultaneous denominator", ("alpha", "delta", "qmax")),
+    "kronecker": (_cmd_kronecker, "phase-alignment time for signal exponents", ("kappa", "tmax")),
+    "dimension": (_cmd_dimension, "covering/packing counts and dimension fit of the hull", ()),
+    "verify": (_cmd_verify, "run a bundled verification suite", ("suite",)),
 }
+
+_FLAG_HELP = {
+    "signal": "signal literal or preset name",
+    "eps": "eps list a,b,... or range start:count:factor",
+    "window": "scan window lo:hi",
+    "step": "scan step",
+    "seed": "random seed for sampled checks",
+    "grid": "max grid points per scan",
+    "out": "output path (default stdout)",
+    "t": "time at which to evaluate",
+    "x": "number: phi, sqrt2, sqrt3, p/q, or decimal",
+    "alpha": "comma list of numbers",
+    "kappa": "comma list of target phases",
+}
+
+_FLAG_CHOICES = {"format": ("csv", "json"), "suite": verify_mod.SUITE_NAMES}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,55 +471,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Almost periods, inclusion lengths, and hull dimensions of quasiperiodic signals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+    for command, (_, help_text, extra_flags) in _COMMAND_TABLE.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", default=None, help="key = value config file")
-        p.add_argument("--signal", default=None, help="signal literal or preset name")
-        p.add_argument("--eps", default=None, help="eps list a,b,... or range start:count:factor")
-        p.add_argument("--window", default=None, help="scan window lo:hi")
-        p.add_argument("--step", type=float, default=None, help="scan step")
-        p.add_argument("--seed", type=int, default=None, help="random seed for sampled checks")
-        p.add_argument("--grid", type=int, default=None, help="max grid points per scan")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--precision-bits", dest="precision_bits", type=int, default=None)
-        return p
-
-    p = add("eval", "evaluate a signal at one time")
-    p.add_argument("--t", type=float, default=None, help="time at which to evaluate")
-    add("scan", "bracket the eps-almost-period set on a window")
-    p = add("length-curve", "inclusion-length bounds over an eps ladder")
-    p.add_argument("--initial-width", dest="initial_width", type=float, default=None)
-    p.add_argument("--min-hits", dest="min_hits", type=int, default=None)
-    p.add_argument("--max-doublings", dest="max_doublings", type=int, default=None)
-    p = add("di-fit", "growth exponent of the inclusion length")
-    p.add_argument("--initial-width", dest="initial_width", type=float, default=None)
-    p.add_argument("--min-hits", dest="min_hits", type=int, default=None)
-    p.add_argument("--max-doublings", dest="max_doublings", type=int, default=None)
-    p = add("cf", "continued-fraction expansion with certified quotients")
-    p.add_argument("--x", default=None, help="number: phi, sqrt2, sqrt3, p/q, or decimal")
-    p.add_argument("--depth", type=int, default=None)
-    p = add("badness", "badly-approximable score of a tuple")
-    p.add_argument("--alpha", default=None, help="comma list of numbers")
-    p.add_argument("--qmax", type=int, default=None)
-    p = add("simdenom", "smallest simultaneous denominator")
-    p.add_argument("--alpha", default=None, help="comma list of numbers")
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--qmax", type=int, default=None)
-    p = add("kronecker", "phase-alignment time for signal exponents")
-    p.add_argument("--kappa", default=None, help="comma list of target phases")
-    p.add_argument("--tmax", type=float, default=None)
-    add("dimension", "covering/packing counts and dimension fit of the hull")
-    p = add("verify", "run a bundled verification suite")
-    p.add_argument("--suite", choices=verify_mod.SUITE_NAMES, default=None)
+        for name in _COMMON_FLAGS + extra_flags:
+            p.add_argument(
+                "--" + name.replace("_", "-"),
+                dest=name,
+                type=_FIELD_TYPES[name],
+                default=None,
+                choices=_FLAG_CHOICES.get(name),
+                help=_FLAG_HELP.get(name),
+            )
     return parser
 
 
 def run(config: RunConfig) -> int:
     if config.precision_bits is not None:
         set_working_precision(config.precision_bits)
-    return _HANDLERS[config.command](config)
+    return _COMMAND_TABLE[config.command][0](config)
 
 
 def main(argv: list[str] | None = None) -> int:

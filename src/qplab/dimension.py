@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from mpmath import mpf
 
+from .almost_periods import loglog_fit
 from .errors import BudgetExceeded, GridTooCoarse, TooFewScales
 from .precision import fold_angle
 from .signal import QuasiperiodicSignal, lipschitz_constant
@@ -31,30 +32,13 @@ DEFAULT_MAX_CELLS = 2**27
 DEFAULT_MAX_SEGMENT_POINTS = 2**24
 
 
-@dataclass(frozen=True)
-class TorusPoint:
-    """Angle coordinates folded into [0, 2*pi)."""
+def orbit_angles(f: QuasiperiodicSignal, s: float) -> np.ndarray:
+    """Angle coordinates of the s-translate, lambda_j * s mod 2*pi per term.
 
-    angles: tuple[float, ...]
-
-    def __post_init__(self):
-        folded = tuple(a % TWO_PI if 0 <= a % TWO_PI < TWO_PI else 0.0 for a in self.angles)
-        object.__setattr__(self, "angles", folded)
-
-    @classmethod
-    def zeros(cls, n: int) -> "TorusPoint":
-        return cls(angles=(0.0,) * n)
-
-    def __len__(self) -> int:
-        return len(self.angles)
-
-
-def orbit_angles(f: QuasiperiodicSignal, s: float) -> TorusPoint:
-    """Angle coordinates of the s-translate: lambda_j * s mod 2*pi, per term."""
-    angles = []
-    for lam in f.exponents:
-        angles.append(float(fold_angle(lam * mpf(s))))
-    return TorusPoint(angles=tuple(angles))
+    Each angle is reduced at working precision, then rounded to a float; one
+    that rounds up to 2*pi folds to 0.0, so every angle lies in [0, 2*pi).
+    """
+    return np.array([float(fold_angle(lam * mpf(s))) % TWO_PI for lam in f.exponents])
 
 
 def orbit_angles_many(f: QuasiperiodicSignal, s: np.ndarray) -> np.ndarray:
@@ -63,48 +47,25 @@ def orbit_angles_many(f: QuasiperiodicSignal, s: np.ndarray) -> np.ndarray:
     return np.mod(np.outer(s, lams), TWO_PI)
 
 
-def torus_metric(x: TorusPoint, y: TorusPoint) -> float:
-    """Max over coordinates of the circle distance; at most pi."""
-    if len(x) != len(y):
+def torus_distance(
+    points: np.ndarray, center: np.ndarray, weights: Sequence[float] | None = None
+) -> np.ndarray:
+    """Distance of each angle row of points from center (one row, or one per point).
+
+    ``weights`` None gives the sup of circle distances, at most pi; amplitude
+    moduli give the chord metric sum_j 2 w_j |sin((x_j - c_j)/2)|, summed in
+    term order.
+    """
+    n = points.shape[-1]
+    if center.shape[-1] != n or (weights is not None and len(weights) != n):
         raise ValueError("dimension mismatch")
-    best = 0.0
-    for a, b in zip(x.angles, y.angles):
-        d = abs(a - b) % TWO_PI
-        best = max(best, min(d, TWO_PI - d))
-    return best
-
-
-def hull_metric(f: QuasiperiodicSignal, x: TorusPoint, y: TorusPoint) -> float:
-    """Chord metric sum_j 2|A_j| |sin((x_j - y_j)/2)|, fixed term order."""
-    if len(x) != f.n or len(y) != f.n:
-        raise ValueError("dimension mismatch")
-    acc = 0.0
-    for w, a, b in zip(f.amplitude_moduli, x.angles, y.angles):
-        acc += 2.0 * w * abs(math.sin(0.5 * (a - b)))
-    return acc
-
-
-def torus_rows_metric() -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Row-wise torus metric for (k, n) arrays against one center row."""
-
-    def metric(points: np.ndarray, center: np.ndarray) -> np.ndarray:
+    if weights is None:
         d = np.mod(np.abs(points - center), TWO_PI)
-        return np.minimum(d, TWO_PI - d).max(axis=1)
-
-    return metric
-
-
-def hull_rows_metric(f: QuasiperiodicSignal) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Row-wise chord metric for (k, n) angle arrays against one center row."""
-    weights = 2.0 * f.amplitude_moduli
-
-    def metric(points: np.ndarray, center: np.ndarray) -> np.ndarray:
-        acc = np.zeros(points.shape[0], dtype=np.float64)
-        for j, w in enumerate(weights):
-            acc += w * np.abs(np.sin(0.5 * (points[:, j] - center[j])))
-        return acc
-
-    return metric
+        return np.minimum(d, TWO_PI - d).max(axis=-1)
+    acc = np.zeros(points.shape[:-1], dtype=np.float64)
+    for j, w in enumerate(weights):
+        acc += (2.0 * w) * np.abs(np.sin(0.5 * (points[..., j] - center[..., j])))
+    return acc
 
 
 def equivalence_constants(
@@ -130,14 +91,11 @@ def equivalence_constants(
 
     def absorb(x: np.ndarray, y: np.ndarray):
         nonlocal ratios_min, ratios_max
-        diff = np.mod(np.abs(x - y), TWO_PI)
-        torus = np.minimum(diff, TWO_PI - diff).max(axis=1)
+        torus = torus_distance(x, y)
         keep = torus > 1e-12
         if not np.any(keep):
             return
-        hull = np.zeros(x.shape[0], dtype=np.float64)
-        for j, w in enumerate(2.0 * f.amplitude_moduli):
-            hull += w * np.abs(np.sin(0.5 * (x[:, j] - y[:, j])))
+        hull = torus_distance(x, y, f.amplitude_moduli)
         ratio = hull[keep] / torus[keep]
         ratios_min = min(ratios_min, float(ratio.min()))
         ratios_max = max(ratios_max, float(ratio.max()))
@@ -166,10 +124,11 @@ def equivalence_constants(
 
 @dataclass(frozen=True)
 class PointSample:
-    """Explicit points (rows) with a row-wise metric, in fixed sample order."""
+    """Explicit angle rows in fixed sample order; ``weights`` selects the metric
+    as in torus_distance."""
 
     points: np.ndarray
-    metric: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    weights: tuple[float, ...] | None = None
     density_radius: float | None = None
 
     @property
@@ -291,11 +250,9 @@ def _grid_ball_mask(sample: TorusGridSample, reaches: Sequence[int], radius: flo
     """Stencil of offsets with metric < radius, or None when the box is entirely inside."""
     if sample.weights is None:
         return None  # sup metric: every cell of the reach box is inside the ball
-    grids = []
-    for axis, r in enumerate(reaches):
-        m = sample.cells[axis]
-        o = np.arange(-r, r + 1, dtype=np.float64)
-        grids.append(2.0 * sample.weights[axis] * np.abs(np.sin(math.pi * o / m)))
+    grids = [
+        sample.axis_profile(axis)[np.abs(np.arange(-r, r + 1))] for axis, r in enumerate(reaches)
+    ]
     total = grids[0]
     for g in grids[1:]:
         total = total[..., None] + g
@@ -399,7 +356,7 @@ def _points_greedy_cover(sample: PointSample, radius: float) -> int:
         c = u
         j = u + 1
         while j < n:
-            block = sample.metric(points[j : j + 512], points[u])
+            block = torus_distance(points[j : j + 512], points[u], sample.weights)
             beyond = np.flatnonzero(block >= radius)
             if beyond.size:
                 c = j + int(beyond[0]) - 1
@@ -407,7 +364,7 @@ def _points_greedy_cover(sample: PointSample, radius: float) -> int:
             j += block.size
             c = j - 1
         count += 1
-        covered |= sample.metric(points, points[c]) < radius
+        covered |= torus_distance(points, points[c], sample.weights) < radius
         cursor = u
     return count
 
@@ -423,7 +380,7 @@ def _points_greedy_packing(sample: PointSample, separation: float) -> int:
         if i < 0:
             break
         count += 1
-        blocked |= sample.metric(points, points[i]) < separation
+        blocked |= torus_distance(points, points[i], sample.weights) < separation
         blocked[i] = True
         cursor = i + 1
     return count
@@ -476,13 +433,6 @@ class CoveringReport:
             raise ValueError("one (cover, packing) pair per eps required")
 
 
-def _loglog_slope(eps: Sequence[float], counts: Sequence[int]) -> float:
-    x = np.log(1.0 / np.asarray(eps, dtype=np.float64))
-    y = np.log(np.asarray(counts, dtype=np.float64))
-    xm = x.mean()
-    return float(((x - xm) * (y - y.mean())).sum() / ((x - xm) ** 2).sum())
-
-
 def dimension_fit(report: CoveringReport) -> tuple[float, float]:
     """(lower_dim, upper_dim) regression slopes of ln count against ln(1/eps).
 
@@ -492,8 +442,8 @@ def dimension_fit(report: CoveringReport) -> tuple[float, float]:
         raise TooFewScales(f"need >= 4 scales, have {len(report.eps_grid)}")
     if any(c < 1 or p < 1 for c, p in report.counts):
         raise ValueError("counts must be positive")
-    lower = _loglog_slope(report.eps_grid, [p for _, p in report.counts])
-    upper = _loglog_slope(report.eps_grid, [c for c, _ in report.counts])
+    lower, _, _ = loglog_fit(report.eps_grid, [p for _, p in report.counts])
+    upper, _, _ = loglog_fit(report.eps_grid, [c for c, _ in report.counts])
     return lower, upper
 
 
@@ -550,7 +500,7 @@ def orbit_segment_sample(
     s = s_lo + np.arange(npts, dtype=np.float64) * ((s_hi - s_lo) / max(1, npts - 1))
     return PointSample(
         points=orbit_angles_many(f, s),
-        metric=hull_rows_metric(f),
+        weights=tuple(float(w) for w in f.amplitude_moduli),
         density_radius=C * (s_hi - s_lo) / max(1, npts - 1) / 2.0,
     )
 

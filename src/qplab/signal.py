@@ -144,32 +144,27 @@ def parse_signal(text: str) -> QuasiperiodicSignal:
         raise SignalParseError(str(exc)) from exc
 
 
-def evaluate(f: QuasiperiodicSignal, t: float) -> complex:
-    """Value of the signal at time t, summed in fixed term order."""
-    acc = 0j
-    for amp, lam in zip(f._amps, f._lams):
-        acc += amp * complex(math.cos(lam * t), math.sin(lam * t))
-    return acc
+def evaluate(f: QuasiperiodicSignal, t):
+    """Signal value at time t, or values at an array of times, in fixed term order.
 
-
-def evaluate_many(f: QuasiperiodicSignal, t: np.ndarray) -> np.ndarray:
-    """Vectorized signal values; same term-order summation as evaluate."""
+    A scalar t returns a complex. It goes through a 0-d array, whose scalar
+    complex multiply rounds like Python's; on arrays numpy's SIMD multiply may
+    differ from that in the last bits.
+    """
+    t = np.asarray(t, dtype=np.float64)
     acc = np.zeros(t.shape, dtype=np.complex128)
     for amp, lam in zip(f._amps, f._lams):
         acc += amp * np.exp(1j * (lam * t))
-    return acc
+    return complex(acc) if acc.ndim == 0 else acc
 
 
 def translation_distance(f: QuasiperiodicSignal, tau: float) -> float:
-    """D(tau) = sum_j 2|A_j| |sin(lambda_j tau / 2)|, summed in fixed term order."""
-    acc = 0.0
-    for amp, lam in zip(f._amps, f._lams):
-        acc += 2.0 * abs(amp) * abs(math.sin(lam * tau * 0.5))
-    return acc
+    """D(tau) = sum_j 2|A_j| |sin(lambda_j tau / 2)| at one translation."""
+    return float(translation_distance_many(f, np.asarray(tau, dtype=np.float64)))
 
 
 def translation_distance_many(f: QuasiperiodicSignal, taus: np.ndarray) -> np.ndarray:
-    """Vectorized D over an array of translations, fixed term order."""
+    """D over an array of translations, summed in fixed term order."""
     acc = np.zeros(taus.shape, dtype=np.float64)
     # sublevel_scan relies on this fixed-order sum of non-negative terms: D >= every term
     for amp, lam in zip(f._amps, f._lams):

@@ -19,15 +19,9 @@ from .diophantine import (
     kronecker_residuals,
     kronecker_solve,
 )
-from .dimension import (
-    TorusPoint,
-    equivalence_constants,
-    hull_metric,
-    segment_cover_checks,
-    orbit_angles,
-)
-from .precision import golden_ratio, two_pi
-from .signal import QuasiperiodicSignal, preset, translation_distance
+from .dimension import equivalence_constants, orbit_angles, segment_cover_checks, torus_distance
+from .precision import golden_ratio, sqrt2, two_pi
+from .signal import QuasiperiodicSignal, preset, translation_distance_many
 
 SUITE_NAMES = ("golden", "sqrt23")
 
@@ -50,12 +44,10 @@ def _check(name: str, passed: bool, **data) -> dict:
 def _metric_identity_check(f: QuasiperiodicSignal, seed: int, count: int = 2000) -> dict:
     rng = np.random.default_rng(seed)
     taus = rng.uniform(-100.0, 100.0, count)
-    zero = TorusPoint.zeros(f.n)
-    worst = 0.0
-    for tau in taus:
-        d = translation_distance(f, float(tau))
-        h = hull_metric(f, orbit_angles(f, float(tau)), zero)
-        worst = max(worst, abs(d - h))
+    # angles reduced at working precision, independent of D's float products
+    angles = np.array([orbit_angles(f, float(tau)) for tau in taus])
+    chord = torus_distance(angles, np.zeros(f.n), f.amplitude_moduli)
+    worst = float(np.max(np.abs(translation_distance_many(f, taus) - chord)))
     return _check(
         "translation_distance_matches_torus_chord",
         worst < 1e-12,
@@ -86,6 +78,13 @@ def _equivalence_check(f: QuasiperiodicSignal, seed: int) -> dict:
     )
 
 
+def _samples(curve: LengthCurve) -> list[dict]:
+    return [
+        {"eps": s.eps, "L_lower": s.L_lower, "L_upper": s.L_upper, "window": s.window_used}
+        for s in curve.samples
+    ]
+
+
 def _growth_exponent_check(curve: LengthCurve, band: tuple[float, float]) -> dict:
     fit = fit_exponent(curve)
     passed = band[0] <= fit.slope <= band[1]
@@ -96,10 +95,7 @@ def _growth_exponent_check(curve: LengthCurve, band: tuple[float, float]) -> dic
         residual=fit.residual,
         max_ratio=fit.max_ratio,
         band=list(band),
-        samples=[
-            {"eps": s.eps, "L_lower": s.L_lower, "L_upper": s.L_upper, "window": s.window_used}
-            for s in curve.samples
-        ],
+        samples=_samples(curve),
     )
 
 
@@ -110,10 +106,7 @@ def _growth_floor_check(curve: LengthCurve, floor: float) -> dict:
         fit.slope >= floor,
         slope=fit.slope,
         floor=floor,
-        samples=[
-            {"eps": s.eps, "L_lower": s.L_lower, "L_upper": s.L_upper, "window": s.window_used}
-            for s in curve.samples
-        ],
+        samples=_samples(curve),
     )
 
 
@@ -145,8 +138,6 @@ def _segment_cover_check(f: QuasiperiodicSignal, eps: float, lengths: dict) -> d
 
 
 def _quotients_check() -> dict:
-    from .precision import sqrt2
-
     cf_phi = cf_expand(golden_ratio(), 30)
     cf_s2 = cf_expand(sqrt2(), 30)
     ok_phi = cf_phi.a0 == 1 and cf_phi.quotients == (1,) * 30
@@ -160,8 +151,6 @@ def _quotients_check() -> dict:
 
 
 def _badness_check() -> dict:
-    from .precision import sqrt2
-
     phi = golden_ratio()
     inv_phi = phi - 1  # inverse of the second exponent ratio; same quotient tail
     r_phi = badness_score([phi], 10**5)

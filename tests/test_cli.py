@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -37,7 +38,7 @@ def test_parse_eps_list():
 
 
 def test_parse_eps_errors():
-    for bad in ("", "0:3:2", "0.4:0:2", "0.4:3:1", "a,b"):
+    for bad in ("", "0:3:2", "0.4:0:2", "0.4:3:1", "a,b", "inf", "0.4,nan", "nan:2:2", "0.4:2:inf"):
         with pytest.raises(ConfigError):
             parse_eps_spec(bad)
 
@@ -48,6 +49,9 @@ def test_parse_window():
         parse_window_spec("5:1")
     with pytest.raises(ConfigError):
         parse_window_spec("1")
+    for bad in ("0:inf", "-inf:0", "nan:1"):
+        with pytest.raises(ConfigError):
+            parse_window_spec(bad)
 
 
 def test_parse_constant():
@@ -90,6 +94,10 @@ def test_run_config_validation():
         RunConfig(command="eval", format="xml")
     with pytest.raises(ConfigError):
         RunConfig(command="eval", qmax=0)
+    for name in ("step", "t", "delta", "tmax", "initial_width"):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ConfigError, match=name):
+                RunConfig(command="eval", **{name: bad})
 
 
 def test_eval_json(tmp_path, capsys):
@@ -112,6 +120,7 @@ def test_eval_csv(tmp_path):
     lines = [l for l in text.splitlines() if not l.startswith("#")]
     assert lines[0] == "t,re,im,abs"
     assert len(lines) == 2
+    assert [float(v) for v in lines[1].split(",")][1] == pytest.approx(-1.0)
 
 
 def test_missing_signal_is_input_error(capsys):
@@ -299,3 +308,83 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
     out = tmp_path / "r.json"
     assert run_cli(["verify", "--suite", "golden", "--out", str(out)]) == 3
     assert json.loads(out.read_text(encoding="utf-8"))["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--signal", "golden", "--eps", "0.1", "--window", "0:inf"],
+        ["kronecker", "--signal", "golden", "--kappa", "0,pi", "--eps", "0.3", "--tmax", "inf"],
+        ["length-curve", "--signal", "golden", "--eps", "0.4:2:2", "--initial-width", "inf"],
+        ["scan", "--signal", "golden", "--eps", "inf", "--window", "0:10"],
+        ["length-curve", "--signal", "golden", "--eps", "0.4,nan"],
+        ["eval", "--signal", "golden", "--t", "nan"],
+    ],
+)
+def test_non_finite_numbers_are_input_errors(argv, capsys):
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "finite" in err
+    assert "Traceback" not in err
+
+
+# RunConfig fields each command takes as flags (besides --config)
+COMMON_FLAGS = {"signal", "eps", "window", "step", "seed", "grid", "out", "format", "precision_bits"}
+COMMAND_FLAGS = {
+    "eval": {"t"},
+    "scan": set(),
+    "length-curve": {"initial_width", "min_hits", "max_doublings"},
+    "di-fit": {"initial_width", "min_hits", "max_doublings"},
+    "cf": {"x", "depth"},
+    "badness": {"alpha", "qmax"},
+    "simdenom": {"alpha", "delta", "qmax"},
+    "kronecker": {"kappa", "tmax"},
+    "dimension": set(),
+    "verify": {"suite"},
+}
+FLAG_VALUES = {"format": "csv", "suite": "sqrt23", "step": "0.25", "t": "0.25", "delta": "0.25",
+               "tmax": "0.25", "initial_width": "0.25", "signal": "golden", "eps": "0.1",
+               "window": "0:1", "out": "r.json", "x": "phi", "alpha": "phi", "kappa": "0,pi"}
+
+
+def test_flags_and_config_lines_give_equal_configs(tmp_path):
+    parser = build_parser()
+    for command, extra in COMMAND_FLAGS.items():
+        exposed = set()
+        for f in fields(RunConfig):
+            if f.name == "command":
+                continue
+            value = FLAG_VALUES.get(f.name, "3")
+            try:
+                args = parser.parse_args([command, "--" + f.name.replace("_", "-"), value])
+            except SystemExit:
+                continue
+            if getattr(args, f.name, None) is None:
+                continue  # an abbreviation of another flag, e.g. --t for --tmax
+            exposed.add(f.name)
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{f.name} = {value}\n", encoding="utf-8")
+            from_file = build_config(parser.parse_args([command, "--config", str(cfg)]))
+            assert build_config(args) == from_file, (command, f.name)
+        assert exposed == COMMON_FLAGS | extra, command
+
+
+def test_config_file_non_number_names_key(tmp_path):
+    parser = build_parser()
+    for key in ("qmax", "seed", "tmax", "step"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = many\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=key):
+            build_config(parser.parse_args(["badness", "--config", str(cfg)]))
+
+
+def test_length_curve_and_di_fit_share_samples(tmp_path):
+    reports = {}
+    for command in ("length-curve", "di-fit"):
+        out = tmp_path / f"{command}.json"
+        assert run_cli([command, "--signal", SINGLE, "--eps", "0.2:4:2", "--min-hits", "3",
+                        "--out", str(out)]) == 0
+        reports[command] = json.loads(out.read_text(encoding="utf-8"))
+    assert reports["length-curve"]["samples"] == reports["di-fit"]["samples"]
+    assert reports["length-curve"]["signal_id"] == reports["di-fit"]["signal_id"]

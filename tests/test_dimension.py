@@ -7,50 +7,49 @@ from qplab.dimension import (
     CoveringReport,
     PointSample,
     TorusGridSample,
-    TorusPoint,
     covering_number,
     dimension_fit,
     equivalence_constants,
     hull_dimension_report,
-    hull_metric,
-    hull_rows_metric,
     segment_cover_checks,
     orbit_angles,
     orbit_angles_many,
     orbit_segment_sample,
     torus_dimension_report,
-    torus_metric,
-    torus_rows_metric,
+    torus_distance,
 )
 from qplab.errors import BudgetExceeded, GridTooCoarse, TooFewScales
 from qplab.almost_periods import length_curve
-from qplab.signal import translation_distance
+from qplab.signal import QuasiperiodicSignal, translation_distance
 
 # 2*pi*(phi - 1) at 200 bits
 GOLDEN_ANGLE_S1 = 3.883222077450933
 D_GOLDEN_55 = 0.05108062929278753
 
 
-def test_torus_point_folds():
-    p = TorusPoint((7.0, -0.5))
-    assert 0 <= p.angles[0] < 2 * math.pi
-    assert p.angles[0] == pytest.approx(7.0 - 2 * math.pi)
-    assert p.angles[1] == pytest.approx(2 * math.pi - 0.5)
+def test_orbit_angles_folds(single_term):
+    unit = QuasiperiodicSignal([(1, 1)], label="unit")
+    p = orbit_angles(unit, 7.0)
+    assert 0 <= p[0] < 2 * math.pi
+    assert p[0] == pytest.approx(7.0 - 2 * math.pi)
+    assert orbit_angles(unit, -0.5)[0] == pytest.approx(2 * math.pi - 0.5)
+    # 2*pi - 6e-20 rounds up to the float 2*pi, which folds to 0
+    assert orbit_angles(single_term, -1e-20)[0] == 0.0
 
 
 def test_orbit_angles_zero(golden):
-    assert orbit_angles(golden, 0.0).angles == (0.0, 0.0)
+    assert orbit_angles(golden, 0.0).tolist() == [0.0, 0.0]
 
 
 def test_orbit_angles_quarter_period(single_term):
     p = orbit_angles(single_term, 0.25)
-    assert p.angles[0] == pytest.approx(math.pi / 2, abs=1e-12)
+    assert p[0] == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_orbit_angles_golden_unit(golden):
     p = orbit_angles(golden, 1.0)
-    assert p.angles[0] == pytest.approx(0.0, abs=1e-12)
-    assert p.angles[1] == pytest.approx(GOLDEN_ANGLE_S1, abs=1e-12)
+    assert p[0] == pytest.approx(0.0, abs=1e-12)
+    assert p[1] == pytest.approx(GOLDEN_ANGLE_S1, abs=1e-12)
 
 
 def test_orbit_angles_many_matches_scalar(golden):
@@ -58,41 +57,51 @@ def test_orbit_angles_many_matches_scalar(golden):
     rows = orbit_angles_many(golden, s)
     for row, si in zip(rows, s):
         scalar = orbit_angles(golden, float(si))
-        for a, b in zip(row, scalar.angles):
+        for a, b in zip(row, scalar):
             d = abs(a - b) % (2 * math.pi)
             assert min(d, 2 * math.pi - d) < 1e-9
 
 
 def test_torus_metric_examples():
-    assert torus_metric(TorusPoint((0.3, 1.0)), TorusPoint((0.3, 1.0))) == 0.0
-    assert torus_metric(TorusPoint((0.0,)), TorusPoint((math.pi,))) == pytest.approx(math.pi)
-    assert torus_metric(TorusPoint((0.1, 6.2)), TorusPoint((0.0, 0.0))) == pytest.approx(0.1)
+    def sup(x, y):
+        return torus_distance(np.array(x), np.array(y))
+
+    assert sup((0.3, 1.0), (0.3, 1.0)) == 0.0
+    assert sup((0.0,), (math.pi,)) == pytest.approx(math.pi)
+    assert sup((0.1, 6.2), (0.0, 0.0)) == pytest.approx(0.1)
     with pytest.raises(ValueError):
-        torus_metric(TorusPoint((0.0,)), TorusPoint((0.0, 0.0)))
+        sup((0.0,), (0.0, 0.0))
 
 
 def test_hull_metric_examples(single_term, golden):
-    assert hull_metric(single_term, TorusPoint((0.0,)), TorusPoint((math.pi,))) == pytest.approx(2.0)
-    assert hull_metric(golden, TorusPoint((0.0, 0.0)), TorusPoint((0.0, 0.0))) == 0.0
+    def chord(f, x, y):
+        return torus_distance(np.array(x), np.array(y), f.amplitude_moduli)
+
+    assert chord(single_term, (0.0,), (math.pi,)) == pytest.approx(2.0)
+    assert chord(golden, (0.0, 0.0), (0.0, 0.0)) == 0.0
     p = orbit_angles(golden, 55.0)
-    assert hull_metric(golden, p, TorusPoint.zeros(2)) == pytest.approx(D_GOLDEN_55, abs=1e-11)
+    assert chord(golden, p, np.zeros(2)) == pytest.approx(D_GOLDEN_55, abs=1e-11)
     with pytest.raises(ValueError):
-        hull_metric(golden, TorusPoint((0.0,)), TorusPoint((0.0, 0.0)))
+        chord(golden, (0.0,), (0.0, 0.0))
+    with pytest.raises(ValueError):
+        chord(golden, (0.0,), (0.0,))
 
 
 def test_translation_distance_equals_chord(golden):
     rng = np.random.default_rng(9)
-    zero = TorusPoint.zeros(2)
     for tau in rng.uniform(-100, 100, 2000):
         d = translation_distance(golden, float(tau))
-        h = hull_metric(golden, orbit_angles(golden, float(tau)), zero)
+        h = torus_distance(orbit_angles(golden, float(tau)), np.zeros(2), golden.amplitude_moduli)
         assert abs(d - h) < 1e-12
 
 
 def test_metric_axioms(golden):
     rng = np.random.default_rng(13)
-    pts = [TorusPoint(tuple(a)) for a in rng.uniform(0, 2 * math.pi, (60, 2))]
-    for metric in (torus_metric, lambda x, y: hull_metric(golden, x, y)):
+    pts = rng.uniform(0, 2 * math.pi, (60, 2))
+    for weights in (None, golden.amplitude_moduli):
+        def metric(x, y):
+            return torus_distance(x, y, weights)
+
         for x in pts[:20]:
             assert metric(x, x) == 0.0
         for x, y, z in zip(pts[:20], pts[20:40], pts[40:]):
@@ -121,14 +130,14 @@ def test_equivalence_constants_validation(golden):
 
 
 def test_covering_single_point():
-    sample = PointSample(points=np.zeros((1, 1)), metric=torus_rows_metric())
+    sample = PointSample(points=np.zeros((1, 1)))
     assert covering_number(sample, 0.5) == (1, 1)
 
 
 def test_covering_circle_arc_metric():
     m = 64
     pts = (np.arange(m) * (2 * math.pi / m)).reshape(-1, 1)
-    sample = PointSample(points=pts, metric=torus_rows_metric(), density_radius=math.pi / m)
+    sample = PointSample(points=pts, density_radius=math.pi / m)
     cover, packing = covering_number(sample, math.pi / 4)
     assert 4 <= cover <= 5
     assert packing == 4
@@ -137,7 +146,7 @@ def test_covering_circle_arc_metric():
 def test_covering_circle_grid_matches_point_cloud():
     grid = TorusGridSample(cells=(64,), weights=None)
     pts = (np.arange(64) * (2 * math.pi / 64)).reshape(-1, 1)
-    cloud = PointSample(points=pts, metric=torus_rows_metric())
+    cloud = PointSample(points=pts, weights=None)
     for eps in (math.pi / 4, math.pi / 3, 1.0):
         assert covering_number(grid, eps) == covering_number(cloud, eps)
 
@@ -145,7 +154,7 @@ def test_covering_circle_grid_matches_point_cloud():
 def test_covering_hull_grid_matches_point_cloud(single_term):
     grid = TorusGridSample(cells=(50,), weights=(1.0,))
     pts = (np.arange(50) * (2 * math.pi / 50)).reshape(-1, 1)
-    cloud = PointSample(points=pts, metric=hull_rows_metric(single_term))
+    cloud = PointSample(points=pts, weights=tuple(single_term.amplitude_moduli))
     for eps in (0.5, 0.9):
         assert covering_number(grid, eps) == covering_number(cloud, eps)
 
@@ -160,7 +169,7 @@ def test_covering_torus_sup():
 def test_covering_grid_too_coarse():
     sample = PointSample(
         points=(np.arange(8) * (2 * math.pi / 8)).reshape(-1, 1),
-        metric=torus_rows_metric(),
+        weights=None,
         density_radius=math.pi / 8,
     )
     with pytest.raises(GridTooCoarse):

@@ -216,10 +216,9 @@ def test_suspected_rational_relation_none_for_golden(golden):
     assert suspected_rational_relation(golden.exponents) is None
 
 
-def test_evaluate_many_matches_scalar(golden):
-    from qplab.signal import evaluate_many
-
+def test_evaluate_array_matches_scalar(golden):
     t = np.linspace(-3, 3, 50)
-    vec = evaluate_many(golden, t)
+    vec = evaluate(golden, t)
+    assert vec.shape == t.shape
     for ti, vi in zip(t, vec):
         assert vi == pytest.approx(evaluate(golden, float(ti)), abs=1e-12)
