@@ -15,8 +15,10 @@ iff it is at least 2*eps away from every kept point.
 from __future__ import annotations
 
 import math
+import mmap
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product
+from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -25,11 +27,12 @@ from mpmath import mpf
 from .almost_periods import loglog_fit
 from .errors import BudgetExceeded, GridTooCoarse, TooFewScales
 from .precision import fold_angle
-from .signal import QuasiperiodicSignal, lipschitz_constant
+from .signal import QuasiperiodicSignal, lipschitz_constant, translation_distance_many
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_MAX_CELLS = 2**27
 DEFAULT_MAX_SEGMENT_POINTS = 2**24
+_SCATTER_CHUNK = 2**14  # grid greedy: flat indices per scatter, cells per window of a line
 
 
 def orbit_angles(f: QuasiperiodicSignal, s: float) -> np.ndarray:
@@ -125,11 +128,19 @@ def equivalence_constants(
 @dataclass(frozen=True)
 class PointSample:
     """Explicit angle rows in fixed sample order; ``weights`` selects the metric
-    as in torus_distance."""
+    as in torus_distance.
+
+    ``lag_distance[k]`` is D(k h) when row k is the translate at s_lo + k h, and
+    ``lag_margin`` bounds |distance(row i, row i + k) - D(k h)|; the greedy
+    covers then test only the rows at lags where D can fall below the radius.
+    None means every row is a candidate.
+    """
 
     points: np.ndarray
     weights: tuple[float, ...] | None = None
     density_radius: float | None = None
+    lag_distance: np.ndarray | None = None
+    lag_margin: float = 0.0
 
     @property
     def size(self) -> int:
@@ -158,24 +169,27 @@ class TorusGridSample:
         return int(np.prod([int(m) for m in self.cells], dtype=np.int64))
 
     @property
+    def combine(self):
+        """How per-axis contributions join: max for the sup metric, sum for the chord metric."""
+        return np.maximum if self.weights is None else np.add
+
+    def metric_part(self, axis: int, angle):
+        """Contribution of an angular offset along one axis: the angle (sup) or 2 w |sin(angle/2)|."""
+        if self.weights is None:
+            return angle
+        return 2.0 * self.weights[axis] * np.abs(np.sin(0.5 * angle))
+
+    @property
     def density_radius(self) -> float:
         # farthest any torus point can be from a grid point: half-cell offsets
-        parts = []
-        for axis, m in enumerate(self.cells):
-            half_cell = math.pi / m
-            if self.weights is None:
-                parts.append(half_cell)
-            else:
-                parts.append(2.0 * self.weights[axis] * abs(math.sin(0.5 * half_cell)))
-        return max(parts) if self.weights is None else float(sum(parts))
+        return float(reduce(self.combine, [
+            self.metric_part(axis, math.pi / m) for axis, m in enumerate(self.cells)
+        ]))
 
     def axis_profile(self, axis: int) -> np.ndarray:
         """Contribution of a pure offset o along one axis, o = 0..m//2."""
         m = self.cells[axis]
-        o = np.arange(m // 2 + 1, dtype=np.float64)
-        if self.weights is None:
-            return TWO_PI * o / m
-        return 2.0 * self.weights[axis] * np.abs(np.sin(math.pi * o / m))
+        return self.metric_part(axis, TWO_PI * np.arange(m // 2 + 1, dtype=np.float64) / m)
 
     def reach(self, axis: int, radius: float) -> int:
         """Largest offset along the axis with contribution strictly below radius."""
@@ -185,8 +199,9 @@ class TorusGridSample:
 
     def offset_metric(self, offsets: Sequence[int]) -> float:
         """Metric value of an integer cell-offset vector (components <= m//2)."""
-        parts = [float(self.axis_profile(axis)[abs(o)]) for axis, o in enumerate(offsets)]
-        return max(parts) if self.weights is None else float(sum(parts))
+        return float(reduce(self.combine, [
+            self.axis_profile(axis)[abs(o)] for axis, o in enumerate(offsets)
+        ]))
 
     @classmethod
     def hull_grid(
@@ -226,58 +241,28 @@ def _next_unset(flat: np.ndarray, start: int, block: int = 512) -> int:
     return -1
 
 
-def _grid_mark(covered: np.ndarray, center: Sequence[int], reaches: Sequence[int], mask):
-    """OR a stencil (or a full box when mask is None) into covered, with wraparound."""
-    axis_segments = []
-    for c, r, m in zip(center, reaches, covered.shape):
-        length = 2 * r + 1
-        start = (c - r) % m
-        if start + length <= m:
-            axis_segments.append([(start, start + length, 0, length)])
-        else:
-            first = m - start
-            axis_segments.append([(start, m, 0, first), (0, length - first, first, length)])
-    for combo in product(*axis_segments):
-        grid_idx = tuple(slice(g0, g1) for g0, g1, _, _ in combo)
-        if mask is None:
-            covered[grid_idx] = True
-        else:
-            mask_idx = tuple(slice(m0, m1) for _, _, m0, m1 in combo)
-            covered[grid_idx] |= mask[mask_idx]
-
-
-def _grid_ball_mask(sample: TorusGridSample, reaches: Sequence[int], radius: float):
-    """Stencil of offsets with metric < radius, or None when the box is entirely inside."""
-    if sample.weights is None:
-        return None  # sup metric: every cell of the reach box is inside the ball
-    grids = [
-        sample.axis_profile(axis)[np.abs(np.arange(-r, r + 1))] for axis, r in enumerate(reaches)
+def _offsets_metric(sample: TorusGridSample, offsets: Sequence[np.ndarray]) -> np.ndarray:
+    """Metric of every combination of per-axis cell offsets (entries <= m//2), axis k on dimension k."""
+    n = len(offsets)
+    parts = [
+        sample.axis_profile(axis)[o].reshape([-1 if k == axis else 1 for k in range(n)])
+        for axis, o in enumerate(offsets)
     ]
-    total = grids[0]
-    for g in grids[1:]:
-        total = total[..., None] + g
-    return total < radius
+    return reduce(sample.combine, parts)
+
+
+def _grid_ball_mask(sample: TorusGridSample, reaches: Sequence[int], radius: float) -> np.ndarray:
+    """Stencil over the reach box: offsets with metric < radius (the whole box for sup)."""
+    return _offsets_metric(sample, [np.abs(np.arange(-r, r + 1)) for r in reaches]) < radius
 
 
 def _grid_mark_slow(covered: np.ndarray, sample: TorusGridSample, center, radius: float):
     """Exact ball marking via full per-axis distance arrays (small grids only)."""
-    parts = []
-    for axis, (c, m) in enumerate(zip(center, sample.cells)):
+    offsets = []
+    for c, m in zip(center, sample.cells):
         o = np.abs(np.arange(m) - c)
-        o = np.minimum(o, m - o)
-        contrib = sample.axis_profile(axis)[o]
-        shape = [1] * len(sample.cells)
-        shape[axis] = m
-        parts.append(contrib.reshape(shape))
-    if sample.weights is None:
-        total = parts[0]
-        for p in parts[1:]:
-            total = np.maximum(total, p)
-    else:
-        total = parts[0]
-        for p in parts[1:]:
-            total = total + p
-    covered |= total < radius
+        offsets.append(np.minimum(o, m - o))
+    covered |= _offsets_metric(sample, offsets) < radius
 
 
 def _cover_advances(sample: TorusGridSample, radius: float) -> list[int]:
@@ -293,96 +278,169 @@ def _cover_advances(sample: TorusGridSample, radius: float) -> list[int]:
     return advances
 
 
-def _grid_greedy_cover(sample: TorusGridSample, radius: float) -> int:
-    reaches = [sample.reach(axis, radius) for axis in range(len(sample.cells))]
-    slow = any(2 * r + 1 > m for r, m in zip(reaches, sample.cells))
-    mask = None if slow else _grid_ball_mask(sample, reaches, radius)
-    covered = np.zeros(sample.cells, dtype=bool)
-    flat = covered.reshape(-1)
-    shape = covered.shape
-    advances = _cover_advances(sample, radius)
-    cursor = 0
+def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]) -> int:
+    """Count greedy balls: each is centered at the first unset cell plus ``advances``
+    and marks every cell within radius.
+
+    The grid is walked one line of the last axis at a time. On the line of its
+    first unset cell every ball covers the same interval [c - w, c + w] (mod m)
+    of the last axis, so the line's balls follow from its unset positions
+    alone. They are then marked together: the flat index of each stencil cell
+    is a wrapped lookup of its head offsets plus its last-axis offset, with the
+    few cells past an end of the line moved by m.
+    """
+    cells = sample.cells
+    reaches = [sample.reach(axis, radius) for axis in range(len(cells))]
+    # the flags get an anonymous mapping of their own, so their pages go back to
+    # the system on return; tens of MB freed to the heap would stay resident
+    covered = np.frombuffer(mmap.mmap(-1, sample.size), dtype=bool)
+    if any(2 * r + 1 > m for r, m in zip(reaches, cells)):
+        # a ball wraps onto itself along some axis: mark each one exactly
+        grid = covered.reshape(cells)
+        count = 0
+        i = _next_unset(covered, 0)
+        while i >= 0:
+            count += 1
+            center = [(c + a) % m for c, a, m in zip(np.unravel_index(i, cells), advances, cells)]
+            _grid_mark_slow(grid, sample, center, radius)
+            i = _next_unset(covered, i + 1)
+        return count
+    mask = _grid_ball_mask(sample, reaches, radius)
+    n = len(cells)
+    m, a, r = cells[-1], advances[-1], reaches[-1]
+    # the stencil row through the first unset cell; symmetric and contiguous
+    w = int(np.count_nonzero(mask[tuple(q - b for q, b in zip(reaches[:-1], advances[:-1]))])) // 2
+    # heads[i_0, ..., i_{n-2}] is the flat start of the line at head coordinates
+    # (i_k - r_k) mod m_k: the stencil cell at head offsets o_k of a ball centered
+    # at x_k + b_k lies on heads[x_k + b_k + o_k + r_k], wrapped on every head axis
+    heads = np.zeros((), dtype=np.intp)
+    for k in range(n - 1):
+        wrapped = (np.arange(cells[k] + advances[k] + 2 * reaches[k]) - reaches[k]) % cells[k]
+        heads = np.add.outer(heads, wrapped * int(np.prod(cells[k + 1 :])))
+    head_strides = [int(np.prod(heads.shape[k + 1 :])) for k in range(n - 1)]
+    heads = heads.ravel()
+    coords = np.nonzero(mask)  # lexicographic order, offset o_k stored as o_k + r_k
+    last = coords[-1] - r  # offsets along the last axis, in [-r, r]
+    head_offsets = sum((coords[k] * head_strides[k] for k in range(n - 1)), np.zeros_like(last))
+    # stencil cells from `ahead` on fall on lines after the line of the first unset
+    # cell; the others fall on that line or earlier ones, which are never read again,
+    # unless the ball wraps past 0 along a head axis onto a later line
+    ahead = int(np.searchsorted(
+        head_offsets, sum((reaches[k] - advances[k]) * head_strides[k] for k in range(n - 1)), "right"
+    ))
+    chunk = max(1, _SCATTER_CHUNK // last.size)
     count = 0
-    while True:
-        i = _next_unset(flat, cursor)
-        if i < 0:
-            break
-        count += 1
-        center = [
-            (c + a) % m for c, a, m in zip(np.unravel_index(i, shape), advances, shape)
-        ]
-        if slow:
-            _grid_mark_slow(covered, sample, center, radius)
-        else:
-            _grid_mark(covered, center, reaches, mask)
-        cursor = i
+    i = _next_unset(covered, 0)
+    while i >= 0:
+        line, p = divmod(i, m)
+        start = line * m
+        key = 0
+        first = ahead
+        for k in range(n - 2, -1, -1):
+            line, x = divmod(line, cells[k])
+            key += (x + advances[k]) * head_strides[k]
+            if x + advances[k] < reaches[k]:
+                first = 0
+        offsets = last[first:]
+        cells_of_line = heads[key:][head_offsets[first:]]
+        cells_of_line += offsets
+        limit = m  # cells from limit on lie in the wrapped tail of the line's first ball
+        while p < limit:
+            # the line's balls, a window of cells at a time
+            stop = min(limit, p + _SCATTER_CHUNK)
+            unset = (np.flatnonzero(~covered[start + p : start + stop]) + p).tolist()
+            p = stop
+            centers = []
+            j = 0
+            while j < len(unset) and unset[j] < limit:
+                c = unset[j] + a
+                centers.append(c)
+                if c < w:
+                    limit = min(limit, m + c - w)
+                p = max(p, c + w + 1)
+                j = bisect_right(unset, c + w, j)
+            count += len(centers)
+            for lo in range(0, len(centers), chunk):
+                batch = centers[lo : lo + chunk]
+                idx = np.add.outer(np.array(batch), cells_of_line)
+                # centers are ascending: only the first and last balls wrap past an end of the line
+                for b, c in enumerate(batch):
+                    if c >= r:
+                        break
+                    np.add(idx[b], m, out=idx[b], where=offsets < -c)
+                for b in range(len(batch) - 1, -1, -1):
+                    if batch[b] + r < m:
+                        break
+                    np.subtract(idx[b], m, out=idx[b], where=offsets >= m - batch[b])
+                covered[idx] = True
+        i = _next_unset(covered, start + m)
     return count
+
+
+def _grid_greedy_cover(sample: TorusGridSample, radius: float) -> int:
+    return _grid_greedy(sample, radius, _cover_advances(sample, radius))
 
 
 def _grid_greedy_packing(sample: TorusGridSample, separation: float) -> int:
-    reaches = [sample.reach(axis, separation) for axis in range(len(sample.cells))]
-    slow = any(2 * r + 1 > m for r, m in zip(reaches, sample.cells))
-    mask = None if slow else _grid_ball_mask(sample, reaches, separation)
-    blocked = np.zeros(sample.cells, dtype=bool)
-    flat = blocked.reshape(-1)
-    shape = blocked.shape
-    cursor = 0
-    count = 0
-    while True:
-        i = _next_unset(flat, cursor)
-        if i < 0:
-            break
-        count += 1
-        center = list(np.unravel_index(i, shape))
-        if slow:
-            _grid_mark_slow(blocked, sample, center, separation)
-        else:
-            _grid_mark(blocked, center, reaches, mask)
-        cursor = i + 1
-    return count
+    return _grid_greedy(sample, separation, [0] * len(sample.cells))
+
+
+def _candidate_lags(sample: PointSample, radius: float) -> tuple[np.ndarray, int]:
+    """(lags, stop): the sorted row offsets, of both signs, at which a row can lie
+    within radius of a center row, and the first positive offset at which none can.
+
+    Row distances differ from the lag distance by at most ``lag_margin``, so no
+    row at a lag with D(k h) >= radius + margin is within radius. Without lag
+    distances every offset is a candidate.
+    """
+    n = sample.size
+    if sample.lag_distance is None:
+        return np.arange(1 - n, n), n
+    near = sample.lag_distance < radius + sample.lag_margin
+    k = np.flatnonzero(near)
+    return np.concatenate((-k[:0:-1], k)), int(np.argmin(near)) or n  # near[0]: D(0) = 0
+
+
+def _mark_within(marked: np.ndarray, sample: PointSample, c: int, radius: float, lags) -> None:
+    """Mark the rows within radius of row c, testing only the rows at candidate lags."""
+    rows = c + lags[np.searchsorted(lags, -c) : np.searchsorted(lags, sample.size - c)]
+    near = torus_distance(sample.points[rows], sample.points[c], sample.weights) < radius
+    marked[rows[near]] = True
 
 
 def _points_greedy_cover(sample: PointSample, radius: float) -> int:
     points = sample.points
     n = sample.size
+    lags, stop = _candidate_lags(sample, radius)
     covered = np.zeros(n, dtype=bool)
-    cursor = 0
     count = 0
-    while True:
-        u = _next_unset(covered, cursor)
-        if u < 0:
-            break
-        # slide the ball forward: last consecutive index still within radius of u
-        c = u
-        j = u + 1
-        while j < n:
-            block = torus_distance(points[j : j + 512], points[u], sample.weights)
+    u = _next_unset(covered, 0)
+    while u >= 0:
+        # slide the ball forward: last consecutive index still within radius of u;
+        # the row at lag stop from u is out of reach
+        end = min(n, u + stop + 1)
+        c = end - 1
+        for j in range(u + 1, end, 512):
+            block = torus_distance(points[j : min(j + 512, end)], points[u], sample.weights)
             beyond = np.flatnonzero(block >= radius)
             if beyond.size:
                 c = j + int(beyond[0]) - 1
                 break
-            j += block.size
-            c = j - 1
         count += 1
-        covered |= torus_distance(points, points[c], sample.weights) < radius
-        cursor = u
+        _mark_within(covered, sample, c, radius, lags)
+        u = _next_unset(covered, u + 1)
     return count
 
 
 def _points_greedy_packing(sample: PointSample, separation: float) -> int:
-    points = sample.points
-    n = sample.size
-    blocked = np.zeros(n, dtype=bool)
-    cursor = 0
+    lags, _ = _candidate_lags(sample, separation)
+    blocked = np.zeros(sample.size, dtype=bool)
     count = 0
-    while True:
-        i = _next_unset(blocked, cursor)
-        if i < 0:
-            break
+    i = _next_unset(blocked, 0)
+    while i >= 0:
         count += 1
-        blocked |= torus_distance(points, points[i], sample.weights) < separation
-        blocked[i] = True
-        cursor = i + 1
+        _mark_within(blocked, sample, i, separation, lags)
+        i = _next_unset(blocked, i + 1)
     return count
 
 
@@ -479,6 +537,47 @@ def torus_dimension_report(
 # orbit-segment covering checks
 
 
+def _lag_margin(f: QuasiperiodicSignal, s_lo: float, h: float, npts: int) -> float:
+    """Bound on |chord(row k, row c) - D((k - c) h)| over the rows of an orbit segment sample.
+
+    Row k folds fl(lambda_j s_k) with np.mod, where s_k = fl(s_lo + fl(k h)).
+    In real arithmetic the chord distance of rows k and c is D((k - c) h)
+    exactly (metric identity). In floating point, with unit roundoff u, the
+    full angle of term j differs between the two sides by at most
+      2 u (span + M) |lambda_j|  the rounding of s_k and s_c (|s_k| <= M),
+      2 u M |lambda_j|           the products lambda_j s_k and lambda_j s_c,
+      2 u span |lambda_j|        fl(m h) and the product in D's argument,
+      2 ((|lambda_j| M / 2pi + 1) slip + half-ulp(2pi))
+                                 the folds: np.mod subtracts whole multiples
+                                 of the float 2pi, slip short of 2pi, and
+                                 rounds when it adds 2pi to a negative remainder,
+      half-ulp(2pi)              the difference of the folded angles,
+    and 2 w |sin(x/2)| moves by at most w per unit of x. Each side also rounds
+    one sin (allowed 4 ulp) and one product (u) per term, times 2 w_j, and
+    n - 1 additions of at most u W each (W = sum 2 w_j). Second-order terms
+    are dropped and the sum is multiplied by 2**10, which keeps the bound safe
+    if a step was miscounted; a row that close to the radius is only tested
+    exactly, never misjudged.
+    """
+    u = 2.0**-53
+    half_ulp_2pi = 2.0**-51  # half an ulp of a float in [4, 8)
+    sin_err = 2.0**-50  # 4 ulp of a float in [0.5, 1)
+    slip = 2.5e-16  # 2*pi - TWO_PI = 2.449e-16, rounded up
+    span = (npts - 1) * h
+    M = max(abs(s_lo), abs(s_lo + span))
+    weights = [float(w) for w in f.amplitude_moduli]
+    bound = 2.0 * (len(weights) - 1) * u * 2.0 * sum(weights)
+    for lam, w in zip(f.exponents_float, weights):
+        lam = abs(float(lam))
+        angle = (
+            4.0 * u * lam * (span + M)  # the first three terms
+            + 2.0 * ((lam * M / TWO_PI + 1.0) * slip + half_ulp_2pi)
+            + half_ulp_2pi
+        )
+        bound += w * angle + 4.0 * w * (sin_err + u)
+    return 2.0**10 * bound
+
+
 def orbit_segment_sample(
     f: QuasiperiodicSignal,
     s_lo: float,
@@ -490,18 +589,23 @@ def orbit_segment_sample(
     """Dense sample of translate coordinates for s in [s_lo, s_hi].
 
     The s-step is radius/(safety*C), so consecutive samples are within
-    radius/safety of each other in the chord metric.
+    radius/safety of each other in the chord metric. The rows lie on the
+    arithmetic grid s_lo + k h, so the sample carries D(k h) as its lag
+    distances.
     """
     C = lipschitz_constant(f)
     step = radius / (safety * C)
     npts = int(math.ceil((s_hi - s_lo) / step)) + 1
     if npts > max_points:
         raise BudgetExceeded(f"segment sample needs {npts} points, cap is {max_points}")
-    s = s_lo + np.arange(npts, dtype=np.float64) * ((s_hi - s_lo) / max(1, npts - 1))
+    h = (s_hi - s_lo) / max(1, npts - 1)
+    lags = np.arange(npts, dtype=np.float64) * h
     return PointSample(
-        points=orbit_angles_many(f, s),
+        points=orbit_angles_many(f, s_lo + lags),
         weights=tuple(float(w) for w in f.amplitude_moduli),
         density_radius=C * (s_hi - s_lo) / max(1, npts - 1) / 2.0,
+        lag_distance=translation_distance_many(f, lags),
+        lag_margin=_lag_margin(f, s_lo, h, npts),
     )
 
 
