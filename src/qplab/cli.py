@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import get_args, get_type_hints
 
@@ -168,9 +168,10 @@ def parse_window_spec(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def read_config_file(path: str) -> dict:
-    """Plain ``key = value`` lines with ``#`` comments; unknown keys rejected."""
-    known = {f.name for f in fields(RunConfig)}
+def read_config_file(path: str, command: str) -> dict:
+    """Plain ``key = value`` lines with ``#`` comments; keys the command does
+    not read are rejected."""
+    known = _COMMAND_TABLE[command][2]
     out: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -182,8 +183,8 @@ def read_config_file(path: str) -> dict:
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if key not in known or key == "command":
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key not in known:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r} for {command}")
             out[key] = value
     return out
 
@@ -196,16 +197,13 @@ def _coerce(key: str, value: str):
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    file_values = read_config_file(args.config) if args.config else {}
+    file_values = read_config_file(args.config, args.command) if args.config else {}
     kwargs: dict = {"command": args.command}
-    for f in fields(RunConfig):
-        if f.name == "command":
-            continue
-        cli_value = getattr(args, f.name, None)
-        if cli_value is not None:
-            kwargs[f.name] = cli_value
-        elif f.name in file_values:
-            kwargs[f.name] = _coerce(f.name, file_values[f.name])
+    for name in _COMMAND_TABLE[args.command][2]:
+        if getattr(args, name) is not None:
+            kwargs[name] = getattr(args, name)
+        elif name in file_values:
+            kwargs[name] = _coerce(name, file_values[name])
     return RunConfig(**kwargs)
 
 
@@ -426,26 +424,33 @@ def _cmd_verify(config: RunConfig) -> int:
     return 0 if result["passed"] else 3
 
 
-# RunConfig fields every command takes as flags, besides --config
-_COMMON_FLAGS = (
-    "signal", "eps", "window", "step", "seed", "grid", "out", "format", "precision_bits"
-)
-_CURVE_FLAGS = ("initial_width", "min_hits", "max_doublings")
+_CURVE_FIELDS = ("signal", "eps", "grid", "initial_width", "min_hits", "max_doublings")
+# read by _emit and run; verify's report is JSON only
+_REPORT_FIELDS = ("out", "format", "precision_bits")
 
-# command -> (handler, help, RunConfig fields it adds as flags)
+# command -> (handler, help, the RunConfig fields it reads: its flags and config keys)
 _COMMAND_TABLE = {
-    "eval": (_cmd_eval, "evaluate a signal at one time", ("t",)),
-    "scan": (_cmd_scan, "bracket the eps-almost-period set on a window", ()),
-    "length-curve": (
-        _cmd_length_curve, "inclusion-length bounds over an eps ladder", _CURVE_FLAGS
-    ),
-    "di-fit": (_cmd_length_curve, "growth exponent of the inclusion length", _CURVE_FLAGS),
-    "cf": (_cmd_cf, "continued-fraction expansion with certified quotients", ("x", "depth")),
-    "badness": (_cmd_badness, "badly-approximable score of a tuple", ("alpha", "qmax")),
-    "simdenom": (_cmd_simdenom, "smallest simultaneous denominator", ("alpha", "delta", "qmax")),
-    "kronecker": (_cmd_kronecker, "phase-alignment time for signal exponents", ("kappa", "tmax")),
-    "dimension": (_cmd_dimension, "covering/packing counts and dimension fit of the hull", ()),
-    "verify": (_cmd_verify, "run a bundled verification suite", ("suite",)),
+    "eval": (_cmd_eval, "evaluate a signal at one time",
+             ("signal", "t") + _REPORT_FIELDS),
+    "scan": (_cmd_scan, "bracket the eps-almost-period set on a window",
+             ("signal", "eps", "window", "step", "grid") + _REPORT_FIELDS),
+    "length-curve": (_cmd_length_curve, "inclusion-length bounds over an eps ladder",
+                     _CURVE_FIELDS + _REPORT_FIELDS),
+    # di-fit does not read seed; it is accepted because the benchmark's tiny workload passes it
+    "di-fit": (_cmd_length_curve, "growth exponent of the inclusion length",
+               _CURVE_FIELDS + ("seed",) + _REPORT_FIELDS),
+    "cf": (_cmd_cf, "continued-fraction expansion with certified quotients",
+           ("x", "depth") + _REPORT_FIELDS),
+    "badness": (_cmd_badness, "badly-approximable score of a tuple",
+                ("alpha", "qmax") + _REPORT_FIELDS),
+    "simdenom": (_cmd_simdenom, "smallest simultaneous denominator",
+                 ("alpha", "delta", "qmax") + _REPORT_FIELDS),
+    "kronecker": (_cmd_kronecker, "phase-alignment time for signal exponents",
+                  ("signal", "eps", "kappa", "tmax") + _REPORT_FIELDS),
+    "dimension": (_cmd_dimension, "covering/packing counts and dimension fit of the hull",
+                  ("signal", "eps", "seed") + _REPORT_FIELDS),
+    "verify": (_cmd_verify, "run a bundled verification suite",
+               ("suite", "seed", "out", "precision_bits")),
 }
 
 _FLAG_HELP = {
@@ -465,16 +470,25 @@ _FLAG_HELP = {
 _FLAG_CHOICES = {"format": ("csv", "json"), "suite": verify_mod.SUITE_NAMES}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the input-error code; argparse's own 2 means budget exhaustion here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qplab",
         description="Almost periods, inclusion lengths, and hull dimensions of quasiperiodic signals.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, extra_flags) in _COMMAND_TABLE.items():
-        p = sub.add_parser(command, help=help_text)
+    for command, (_, help_text, names) in _COMMAND_TABLE.items():
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p.add_argument("--config", default=None, help="key = value config file")
-        for name in _COMMON_FLAGS + extra_flags:
+        for name in names:
             p.add_argument(
                 "--" + name.replace("_", "-"),
                 dest=name,

@@ -30,8 +30,12 @@ from .precision import fold_angle
 from .signal import QuasiperiodicSignal, lipschitz_constant, translation_distance_many
 
 TWO_PI = 2.0 * math.pi
-DEFAULT_MAX_CELLS = 2**27
-DEFAULT_MAX_SEGMENT_POINTS = 2**24
+MAX_CELLS = 2**27
+MAX_SEGMENT_POINTS = 2**24
+# hull grids and orbit segments are SAFETY times finer than the radius needs
+SAFETY = 4.0
+# multiplicative slack of the segment-cover inequalities
+SEGMENT_SLACK = 2.0
 _SCATTER_CHUNK = 2**14  # grid greedy: flat indices per scatter, cells per window of a line
 
 
@@ -204,28 +208,13 @@ class TorusGridSample:
         ]))
 
     @classmethod
-    def hull_grid(
-        cls,
-        f: QuasiperiodicSignal,
-        eps: float,
-        safety: float = 4.0,
-        max_cells: int = DEFAULT_MAX_CELLS,
-    ) -> "TorusGridSample":
+    def hull_grid(cls, f: QuasiperiodicSignal, eps: float) -> "TorusGridSample":
         weights = tuple(float(w) for w in f.amplitude_moduli)
         c2 = sum(weights)
-        m = int(math.ceil(TWO_PI * safety * c2 / eps))
-        if m ** f.n > max_cells:
-            raise BudgetExceeded(f"torus grid needs {m ** f.n} cells, cap is {max_cells}")
+        m = int(math.ceil(TWO_PI * SAFETY * c2 / eps))
+        if m ** f.n > MAX_CELLS:
+            raise BudgetExceeded(f"torus grid needs {m ** f.n} cells, cap is {MAX_CELLS}")
         return cls(cells=(m,) * f.n, weights=weights)
-
-    @classmethod
-    def sup_grid(
-        cls, n: int, eps: float, safety: float = 4.0, max_cells: int = DEFAULT_MAX_CELLS
-    ) -> "TorusGridSample":
-        m = int(math.ceil(TWO_PI * safety / eps))
-        if m**n > max_cells:
-            raise BudgetExceeded(f"torus grid needs {m ** n} cells, cap is {max_cells}")
-        return cls(cells=(m,) * n, weights=None)
 
 
 def _next_unset(flat: np.ndarray, start: int, block: int = 512) -> int:
@@ -476,12 +465,10 @@ def covering_number(sample, eps: float) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class CoveringReport:
-    """Covering/packing counts over a decreasing eps grid, with optional fit."""
+    """Covering/packing counts over a decreasing eps grid."""
 
     eps_grid: tuple[float, ...]
     counts: tuple[tuple[int, int], ...]
-    lower_dim: float | None = None
-    upper_dim: float | None = None
 
     def __post_init__(self):
         eps = self.eps_grid
@@ -505,31 +492,9 @@ def dimension_fit(report: CoveringReport) -> tuple[float, float]:
     return lower, upper
 
 
-def hull_dimension_report(
-    f: QuasiperiodicSignal,
-    eps_list: Sequence[float],
-    safety: float = 4.0,
-    max_cells: int = DEFAULT_MAX_CELLS,
-) -> CoveringReport:
+def hull_dimension_report(f: QuasiperiodicSignal, eps_list: Sequence[float]) -> CoveringReport:
     """Covering/packing counts of the full torus under the chord metric."""
-    counts = []
-    for eps in eps_list:
-        grid = TorusGridSample.hull_grid(f, eps, safety=safety, max_cells=max_cells)
-        counts.append(covering_number(grid, eps))
-    return CoveringReport(eps_grid=tuple(eps_list), counts=tuple(counts))
-
-
-def torus_dimension_report(
-    n: int,
-    eps_list: Sequence[float],
-    safety: float = 4.0,
-    max_cells: int = DEFAULT_MAX_CELLS,
-) -> CoveringReport:
-    """Covering/packing counts of the n-torus under the sup metric."""
-    counts = []
-    for eps in eps_list:
-        grid = TorusGridSample.sup_grid(n, eps, safety=safety, max_cells=max_cells)
-        counts.append(covering_number(grid, eps))
+    counts = [covering_number(TorusGridSample.hull_grid(f, eps), eps) for eps in eps_list]
     return CoveringReport(eps_grid=tuple(eps_list), counts=tuple(counts))
 
 
@@ -579,25 +544,20 @@ def _lag_margin(f: QuasiperiodicSignal, s_lo: float, h: float, npts: int) -> flo
 
 
 def orbit_segment_sample(
-    f: QuasiperiodicSignal,
-    s_lo: float,
-    s_hi: float,
-    radius: float,
-    safety: float = 4.0,
-    max_points: int = DEFAULT_MAX_SEGMENT_POINTS,
+    f: QuasiperiodicSignal, s_lo: float, s_hi: float, radius: float
 ) -> PointSample:
     """Dense sample of translate coordinates for s in [s_lo, s_hi].
 
-    The s-step is radius/(safety*C), so consecutive samples are within
-    radius/safety of each other in the chord metric. The rows lie on the
+    The s-step is radius/(SAFETY*C), so consecutive samples are within
+    radius/SAFETY of each other in the chord metric. The rows lie on the
     arithmetic grid s_lo + k h, so the sample carries D(k h) as its lag
     distances.
     """
     C = lipschitz_constant(f)
-    step = radius / (safety * C)
+    step = radius / (SAFETY * C)
     npts = int(math.ceil((s_hi - s_lo) / step)) + 1
-    if npts > max_points:
-        raise BudgetExceeded(f"segment sample needs {npts} points, cap is {max_points}")
+    if npts > MAX_SEGMENT_POINTS:
+        raise BudgetExceeded(f"segment sample needs {npts} points, cap is {MAX_SEGMENT_POINTS}")
     h = (s_hi - s_lo) / max(1, npts - 1)
     lags = np.arange(npts, dtype=np.float64) * h
     return PointSample(
@@ -634,17 +594,13 @@ def segment_cover_checks(
     f: QuasiperiodicSignal,
     eps: float,
     inclusion_lengths: Mapping[float, float],
-    slack: float = 2.0,
-    safety: float = 4.0,
-    max_cells: int = DEFAULT_MAX_CELLS,
-    max_segment_points: int = DEFAULT_MAX_SEGMENT_POINTS,
 ) -> SegmentCoverChecks:
     """Compare orbit-segment covering counts with the full-hull count at eps.
 
     The segment at scale r is {translate(s) : |s| <= L(r/2)}, with L taken
-    from ``inclusion_lengths`` (keys eps, eps/2, eps/4 required). Checks, with
-    a multiplicative slack: segment count at 2*eps <= hull count at eps <=
-    segment count at eps/2, and the segment count at eps stays below
+    from ``inclusion_lengths`` (keys eps, eps/2, eps/4 required). Checks, up
+    to the factor SEGMENT_SLACK: segment count at 2*eps <= hull count at eps
+    <= segment count at eps/2, and the segment count at eps stays below
     2*L(eps/2)/delta + 1 for delta = (eps/2)/C. Reports numbers and flags,
     never raises on a violated inequality.
     """
@@ -655,10 +611,7 @@ def segment_cover_checks(
     C = lipschitz_constant(f)
 
     def segment_count(ball_radius: float, half_length: float) -> int:
-        sample = orbit_segment_sample(
-            f, -half_length, half_length, ball_radius, safety=safety,
-            max_points=max_segment_points,
-        )
+        sample = orbit_segment_sample(f, -half_length, half_length, ball_radius)
         return _points_greedy_cover(sample, ball_radius)
 
     L_eps = inclusion_lengths[eps]
@@ -667,8 +620,7 @@ def segment_cover_checks(
     seg_2eps = segment_count(2.0 * eps, L_eps)
     seg_eps = segment_count(eps, L_half)
     seg_half = segment_count(eps / 2.0, L_quarter)
-    hull_grid = TorusGridSample.hull_grid(f, eps, safety=safety, max_cells=max_cells)
-    hull_eps = _grid_greedy_cover(hull_grid, eps)
+    hull_eps = _grid_greedy_cover(TorusGridSample.hull_grid(f, eps), eps)
     delta_half = (eps / 2.0) / C
     bound = 2.0 * L_half / delta_half + 1.0
     return SegmentCoverChecks(
@@ -679,8 +631,8 @@ def segment_cover_checks(
         segment_count_half_eps=seg_half,
         hull_count_eps=hull_eps,
         count_bound=bound,
-        slack=slack,
-        sandwich_lower_ok=seg_2eps <= slack * hull_eps,
-        sandwich_upper_ok=hull_eps <= slack * seg_half,
-        count_bound_ok=seg_eps <= slack * bound,
+        slack=SEGMENT_SLACK,
+        sandwich_lower_ok=seg_2eps <= SEGMENT_SLACK * hull_eps,
+        sandwich_upper_ok=hull_eps <= SEGMENT_SLACK * seg_half,
+        count_bound_ok=seg_eps <= SEGMENT_SLACK * bound,
     )

@@ -21,8 +21,8 @@ from mpmath import mp, mpf
 from .errors import BudgetExceeded, PrecisionExhausted
 from .precision import as_mpf, mpf_to_fraction, ulp_uncertainty
 
-DEFAULT_MAX_Q = 10**7
-DEFAULT_MAX_SOLVER_POINTS = 2**26
+MAX_Q = 10**7  # cap on Q and qmax of the denominator scans
+MAX_SOLVER_POINTS = 2**26
 _CHUNK = 2**20
 
 
@@ -92,12 +92,12 @@ def _cf_expand_rational(x: Fraction, depth: int) -> ContinuedFraction:
     )
 
 
-def cf_expand(x, depth: int, error_bound: Fraction | None = None) -> ContinuedFraction:
+def cf_expand(x, depth: int) -> ContinuedFraction:
     """Continued-fraction expansion with ``depth`` certified partial quotients.
 
     Exact rational inputs (int, Fraction, float) expand by the Euclidean
     algorithm and may terminate early. An mpf input is treated as an interval
-    of one working-precision ulp (or ``error_bound``) around its stored value;
+    of one working-precision ulp around its stored value;
     PrecisionExhausted is raised if the interval cannot certify a quotient
     before ``depth`` is reached.
     """
@@ -108,7 +108,7 @@ def cf_expand(x, depth: int, error_bound: Fraction | None = None) -> ContinuedFr
     if isinstance(x, float):
         return _cf_expand_rational(Fraction(x), depth)
     center = mpf_to_fraction(as_mpf(x))
-    radius = error_bound if error_bound is not None else ulp_uncertainty(as_mpf(x))
+    radius = ulp_uncertainty(as_mpf(x))
     lo, hi = center - radius, center + radius
     quotients: list[int] = []
     a0 = lo.numerator // lo.denominator
@@ -158,7 +158,7 @@ def _exact_residue_increments(alpha: Sequence) -> list[tuple[int, int]]:
     return out
 
 
-def badness_score(alpha: Sequence, Q: int, max_q: int = DEFAULT_MAX_Q) -> BadnessReport:
+def badness_score(alpha: Sequence, Q: int) -> BadnessReport:
     """Empirical badly-approximable constant of a tuple over denominators <= Q.
 
     Exact residue arithmetic resolves dist(q*alpha_j, Z) at every q; the
@@ -170,8 +170,8 @@ def badness_score(alpha: Sequence, Q: int, max_q: int = DEFAULT_MAX_Q) -> Badnes
         raise ValueError("alpha must be nonempty")
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    if Q > max_q:
-        raise BudgetExceeded(f"Q={Q} exceeds cap {max_q}")
+    if Q > MAX_Q:
+        raise BudgetExceeded(f"Q={Q} exceeds cap {MAX_Q}")
     coords = _exact_residue_increments(alpha)
     power = 1.0 / n
     residues = [0] * n
@@ -194,9 +194,7 @@ def badness_score(alpha: Sequence, Q: int, max_q: int = DEFAULT_MAX_Q) -> Badnes
     return BadnessReport(n=n, Q=Q, score=best_score, argmin_q=best_q)
 
 
-def best_simultaneous_denominator(
-    alpha: Sequence, delta: float, qmax: int, max_q: int = DEFAULT_MAX_Q
-) -> int | None:
+def best_simultaneous_denominator(alpha: Sequence, delta: float, qmax: int) -> int | None:
     """Smallest q <= qmax with dist(q*alpha_j, Z) <= delta for every j, else None.
 
     The comparison against delta is exact: dist <= delta is decided in integer
@@ -206,8 +204,8 @@ def best_simultaneous_denominator(
         raise ValueError("delta must lie in (0, 1/2)")
     if qmax < 1:
         raise ValueError("qmax must be >= 1")
-    if qmax > max_q:
-        raise BudgetExceeded(f"qmax={qmax} exceeds cap {max_q}")
+    if qmax > MAX_Q:
+        raise BudgetExceeded(f"qmax={qmax} exceeds cap {MAX_Q}")
     coords = _exact_residue_increments(alpha)
     delta_frac = Fraction(delta)
     # dist = min(r, den-r)/den <= delta  <=>  min(...) * delta.den <= delta.num * den
@@ -243,11 +241,7 @@ def kronecker_residuals(
 
 
 def kronecker_solve(
-    lambdas: Sequence[float],
-    kappas: Sequence[float],
-    eps: float,
-    tmax: float,
-    max_points: int = DEFAULT_MAX_SOLVER_POINTS,
+    lambdas: Sequence[float], kappas: Sequence[float], eps: float, tmax: float
 ) -> float | None:
     """Smallest grid point t in [0, tmax] with every folded residual below eps.
 
@@ -266,8 +260,8 @@ def kronecker_solve(
     kaps = np.array([float(k) for k in kappas], dtype=np.float64)
     step = eps / (2.0 * float(np.max(np.abs(lams))))
     npts = int(math.floor(tmax / step)) + 1
-    if npts > max_points:
-        raise BudgetExceeded(f"solver grid needs {npts} points, cap is {max_points}")
+    if npts > MAX_SOLVER_POINTS:
+        raise BudgetExceeded(f"solver grid needs {npts} points, cap is {MAX_SOLVER_POINTS}")
     two_pi = 2.0 * math.pi
     for start in range(0, npts, _CHUNK):
         k = np.arange(start, min(start + _CHUNK, npts), dtype=np.float64)

@@ -14,6 +14,8 @@ from mpmath import mp, mpf
 ENV_PRECISION_BITS = "QPLAB_PRECISION_BITS"
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 80
+# guard bits of ulp_uncertainty: they cover the rounding of the short expression behind an mpf
+GUARD_BITS = 4
 
 
 def configured_precision_bits() -> int:
@@ -81,15 +83,13 @@ def mpf_to_fraction(x: mpf) -> Fraction:
     return -value if sign else value
 
 
-def ulp_uncertainty(x: mpf, guard_bits: int = 4) -> Fraction:
-    """Radius of the uncertainty interval around an mpf computed at mp.prec.
-
-    A few guard bits cover rounding of the (short) expression that produced it.
-    """
+def ulp_uncertainty(x: mpf) -> Fraction:
+    """Radius of the uncertainty interval around an mpf computed at mp.prec,
+    widened by GUARD_BITS."""
     frac = abs(mpf_to_fraction(x))
     if frac == 0:
-        return Fraction(1, 1 << (mp.prec - guard_bits))
-    return frac / (1 << (mp.prec - guard_bits))
+        return Fraction(1, 1 << (mp.prec - GUARD_BITS))
+    return frac / (1 << (mp.prec - GUARD_BITS))
 
 
 def to_fixed_point(alpha, frac_bits: int) -> int:

@@ -19,7 +19,10 @@ from mpmath import mp, mpf
 from .errors import BudgetExceeded, SignalParseError
 from .precision import as_mpf, golden_ratio, sqrt2, sqrt3, two_pi
 
-DEFAULT_MAX_ORACLE_POINTS = 2**26
+MAX_ORACLE_POINTS = 2**26
+# search box and tolerance of suspected_rational_relation
+RELATION_MAX_COEFF = 6
+RELATION_REL_TOL = 1e-9
 _CHUNK = 2**21
 
 _TERM_RE = re.compile(
@@ -32,21 +35,11 @@ PRESET_NAMES = ("golden", "golden1", "sqrt23")
 
 
 class QuasiperiodicSignal:
-    """Finite trigonometric sum with nonzero amplitudes and distinct exponents.
+    """Finite trigonometric sum with nonzero amplitudes and distinct exponents."""
 
-    ``independence_claimed`` records the caller's assertion that the exponents
-    are rationally independent; it cannot be verified from finite-precision
-    input and is never certified here.
-    """
+    __slots__ = ("terms", "label", "_amps", "_lams")
 
-    __slots__ = ("terms", "independence_claimed", "label", "_amps", "_lams")
-
-    def __init__(
-        self,
-        terms: Iterable[tuple[complex, object]],
-        independence_claimed: bool | None = None,
-        label: str = "",
-    ):
+    def __init__(self, terms: Iterable[tuple[complex, object]], label: str = ""):
         normalized: list[tuple[complex, mpf]] = []
         for amp, lam in terms:
             amp = complex(amp)
@@ -62,10 +55,6 @@ class QuasiperiodicSignal:
         if len({str(lam) for lam in exponents}) != len(exponents):
             raise ValueError("exponents must be pairwise distinct")
         self.terms: tuple[tuple[complex, mpf], ...] = tuple(normalized)
-        if independence_claimed is None:
-            # a single nonzero exponent is trivially independent
-            independence_claimed = len(normalized) == 1
-        self.independence_claimed = bool(independence_claimed)
         self.label = label
         self._amps = np.array([a for a, _ in self.terms], dtype=np.complex128)
         self._lams = np.array([float(l) for _, l in self.terms], dtype=np.float64)
@@ -100,15 +89,9 @@ def preset(name: str) -> QuasiperiodicSignal:
     """Named signals built from constants at full working precision."""
     tp = two_pi()
     if name in ("golden", "golden1"):
-        return QuasiperiodicSignal(
-            [(1, tp), (1, tp * golden_ratio())], independence_claimed=True, label=name
-        )
+        return QuasiperiodicSignal([(1, tp), (1, tp * golden_ratio())], label=name)
     if name == "sqrt23":
-        return QuasiperiodicSignal(
-            [(1, tp), (1, tp * sqrt2()), (1, tp * sqrt3())],
-            independence_claimed=True,
-            label=name,
-        )
+        return QuasiperiodicSignal([(1, tp), (1, tp * sqrt2()), (1, tp * sqrt3())], label=name)
     raise SignalParseError(f"unknown preset {name!r}")
 
 
@@ -139,7 +122,7 @@ def parse_signal(text: str) -> QuasiperiodicSignal:
         terms.append((amp, lam))
         offset += len(piece) + 1
     try:
-        return QuasiperiodicSignal(terms, independence_claimed=None, label=text.strip())
+        return QuasiperiodicSignal(terms, label=text.strip())
     except ValueError as exc:
         raise SignalParseError(str(exc)) from exc
 
@@ -177,13 +160,7 @@ def lipschitz_constant(f: QuasiperiodicSignal) -> float:
     return float(sum(abs(a) * abs(l) for a, l in zip(f._amps, f._lams)))
 
 
-def sup_oracle(
-    f: QuasiperiodicSignal,
-    tau: float,
-    horizon: float,
-    grid_step: float,
-    max_points: int = DEFAULT_MAX_ORACLE_POINTS,
-) -> float:
+def sup_oracle(f: QuasiperiodicSignal, tau: float, horizon: float, grid_step: float) -> float:
     """Brute-force grid maximum of |f(t+tau) - f(t)| over t in [0, horizon].
 
     A lower bound for the uniform translation distance; converges upward to
@@ -195,10 +172,8 @@ def sup_oracle(
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
     npts = int(math.floor(horizon / grid_step)) + 1
-    if npts > max_points:
-        raise BudgetExceeded(
-            f"oracle grid needs {npts} points, cap is {max_points}"
-        )
+    if npts > MAX_ORACLE_POINTS:
+        raise BudgetExceeded(f"oracle grid needs {npts} points, cap is {MAX_ORACLE_POINTS}")
     # f(t+tau) - f(t) = sum_j B_j e^{i lambda_j t} with B_j = A_j (e^{i lambda_j tau} - 1)
     coeffs = f._amps * (np.exp(1j * f._lams * tau) - 1.0)
     best = 0.0
@@ -212,24 +187,21 @@ def sup_oracle(
     return best
 
 
-def suspected_rational_relation(
-    exponents: Sequence[object],
-    max_coeff: int = 6,
-    rel_tol: float = 1e-9,
-) -> tuple[int, ...] | None:
+def suspected_rational_relation(exponents: Sequence[object]) -> tuple[int, ...] | None:
     """Small-integer-relation heuristic for the exponent list.
 
-    Returns coefficients c with |sum c_j lambda_j| < rel_tol * max|lambda| if
-    any exist in the searched box, else None. A heuristic warning only: absence
-    of a small relation certifies nothing.
+    Returns coefficients c_j in [-RELATION_MAX_COEFF, RELATION_MAX_COEFF] with
+    |sum c_j lambda_j| < RELATION_REL_TOL * max|lambda| if any exist, else
+    None. A heuristic warning only: absence of a small relation certifies
+    nothing.
     """
     lams = [as_mpf(x) for x in exponents]
     n = len(lams)
     if n > 4:
         raise ValueError("relation search supports at most 4 exponents")
     scale = max(abs(l) for l in lams)
-    bound = mpf(rel_tol) * scale
-    for coeffs in product(range(-max_coeff, max_coeff + 1), repeat=n):
+    bound = mpf(RELATION_REL_TOL) * scale
+    for coeffs in product(range(-RELATION_MAX_COEFF, RELATION_MAX_COEFF + 1), repeat=n):
         if all(c == 0 for c in coeffs):
             continue
         first = next(c for c in coeffs if c != 0)

@@ -123,8 +123,9 @@ def test_criterion_4_sandwich_and_count_bound(golden, golden_ladder):
     lengths = {s.eps: s.L_upper for s in curve.samples}
     results = {}
     for eps in (0.4, 0.2):
-        rep = segment_cover_checks(golden, eps, lengths, slack=2.0)
+        rep = segment_cover_checks(golden, eps, lengths)
         results[eps] = rep
+        assert rep.slack == 2.0
         assert rep.sandwich_lower_ok, f"segment count at 2*eps exceeds slack at eps={eps}"
         assert rep.sandwich_upper_ok, f"hull count exceeds slack at eps={eps}"
         assert rep.count_bound_ok, f"count bound violated at eps={eps}"

@@ -1,9 +1,13 @@
 import json
 import math
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import qplab
 from qplab.cli import (
     RunConfig,
     build_config,
@@ -64,27 +68,27 @@ def test_parse_constant():
 
 def test_config_file_round_trip(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment\nsignal = golden\nqmax = 500\nformat = csv\n", encoding="utf-8")
-    values = read_config_file(str(cfg))
-    assert values == {"signal": "golden", "qmax": "500", "format": "csv"}
+    cfg.write_text("# comment\nsignal = golden\ngrid = 500\nformat = csv\n", encoding="utf-8")
+    values = read_config_file(str(cfg), "scan")
+    assert values == {"signal": "golden", "grid": "500", "format": "csv"}
 
 
 def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("bogus = 1\n", encoding="utf-8")
     with pytest.raises(ConfigError):
-        read_config_file(str(cfg))
+        read_config_file(str(cfg), "scan")
 
 
 def test_cli_flag_overrides_config(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("qmax = 500\nx = sqrt2\n", encoding="utf-8")
+    cfg.write_text("qmax = 500\nalpha = sqrt2\nformat = csv\n", encoding="utf-8")
     parser = build_parser()
     args = parser.parse_args(["badness", "--config", str(cfg), "--alpha", "phi", "--qmax", "10"])
     config = build_config(args)
     assert config.qmax == 10  # flag wins
     assert config.alpha == "phi"
-    assert config.x == "sqrt2"  # config fills what flags left unset
+    assert config.format == "csv"  # config fills what flags left unset
 
 
 def test_run_config_validation():
@@ -269,25 +273,22 @@ def test_parse_warning_on_integer_relation(capsys):
     assert "integer relation" in captured.err
 
 
-def test_env_var_sets_precision(tmp_path):
-    import subprocess
-    import sys as _sys
-    from pathlib import Path
-
-    import qplab
-
-    # The child imports the same qplab as this process (installed or from
-    # src/); nothing else is inherited, so no stray QPLAB_* variable leaks in.
+def _python(*argv, **env):
+    """Run the interpreter in a child that imports the same qplab as this process
+    (installed or from src/); only ``env`` is added, so no stray QPLAB_* variable
+    leaks in."""
     package_root = Path(qplab.__file__).resolve().parents[1]
-    result = subprocess.run(
-        [_sys.executable, "-c", "import qplab; from mpmath import mp; print(mp.prec)"],
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
-        env={
-            "PATH": "/usr/bin:/bin",
-            "PYTHONPATH": str(package_root),
-            "QPLAB_PRECISION_BITS": "128",
-        },
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root), **env},
+    )
+
+
+def test_env_var_sets_precision(tmp_path):
+    result = _python(
+        "-c", "import qplab; from mpmath import mp; print(mp.prec)", QPLAB_PRECISION_BITS="128"
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "128", result.stderr
@@ -329,19 +330,20 @@ def test_non_finite_numbers_are_input_errors(argv, capsys):
     assert "Traceback" not in err
 
 
-# RunConfig fields each command takes as flags (besides --config)
-COMMON_FLAGS = {"signal", "eps", "window", "step", "seed", "grid", "out", "format", "precision_bits"}
+# RunConfig fields each command takes as flags and config keys (besides --config)
+REPORT_FLAGS = {"out", "format", "precision_bits"}
+CURVE_FLAGS = {"signal", "eps", "grid", "initial_width", "min_hits", "max_doublings"}
 COMMAND_FLAGS = {
-    "eval": {"t"},
-    "scan": set(),
-    "length-curve": {"initial_width", "min_hits", "max_doublings"},
-    "di-fit": {"initial_width", "min_hits", "max_doublings"},
-    "cf": {"x", "depth"},
-    "badness": {"alpha", "qmax"},
-    "simdenom": {"alpha", "delta", "qmax"},
-    "kronecker": {"kappa", "tmax"},
-    "dimension": set(),
-    "verify": {"suite"},
+    "eval": {"signal", "t"} | REPORT_FLAGS,
+    "scan": {"signal", "eps", "window", "step", "grid"} | REPORT_FLAGS,
+    "length-curve": CURVE_FLAGS | REPORT_FLAGS,
+    "di-fit": CURVE_FLAGS | {"seed"} | REPORT_FLAGS,
+    "cf": {"x", "depth"} | REPORT_FLAGS,
+    "badness": {"alpha", "qmax"} | REPORT_FLAGS,
+    "simdenom": {"alpha", "delta", "qmax"} | REPORT_FLAGS,
+    "kronecker": {"signal", "eps", "kappa", "tmax"} | REPORT_FLAGS,
+    "dimension": {"signal", "eps", "seed"} | REPORT_FLAGS,
+    "verify": {"suite", "seed", "out", "precision_bits"},
 }
 FLAG_VALUES = {"format": "csv", "suite": "sqrt23", "step": "0.25", "t": "0.25", "delta": "0.25",
                "tmax": "0.25", "initial_width": "0.25", "signal": "golden", "eps": "0.1",
@@ -350,7 +352,7 @@ FLAG_VALUES = {"format": "csv", "suite": "sqrt23", "step": "0.25", "t": "0.25", 
 
 def test_flags_and_config_lines_give_equal_configs(tmp_path):
     parser = build_parser()
-    for command, extra in COMMAND_FLAGS.items():
+    for command, expected in COMMAND_FLAGS.items():
         exposed = set()
         for f in fields(RunConfig):
             if f.name == "command":
@@ -360,23 +362,67 @@ def test_flags_and_config_lines_give_equal_configs(tmp_path):
                 args = parser.parse_args([command, "--" + f.name.replace("_", "-"), value])
             except SystemExit:
                 continue
-            if getattr(args, f.name, None) is None:
-                continue  # an abbreviation of another flag, e.g. --t for --tmax
             exposed.add(f.name)
             cfg = tmp_path / "run.cfg"
             cfg.write_text(f"{f.name} = {value}\n", encoding="utf-8")
             from_file = build_config(parser.parse_args([command, "--config", str(cfg)]))
             assert build_config(args) == from_file, (command, f.name)
-        assert exposed == COMMON_FLAGS | extra, command
+        assert exposed == expected, command
+    assert sum(len(flags) + 1 for flags in COMMAND_FLAGS.values()) == 75  # with --config
+
+
+def test_unread_flag_and_config_key_are_rejected(tmp_path, capsys):
+    for command, expected in COMMAND_FLAGS.items():
+        unread = next(f.name for f in fields(RunConfig) if f.name not in expected | {"command"})
+        value = FLAG_VALUES.get(unread, "3")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--" + unread.replace("_", "-"), value])
+        assert exc.value.code == 1, (command, unread)
+        assert "unrecognized arguments" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# {command} does not read {unread}\n{unread} = {value}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"run.cfg:2: unknown key '{unread}'"):
+            build_config(build_parser().parse_args([command, "--config", str(cfg)]))
 
 
 def test_config_file_non_number_names_key(tmp_path):
     parser = build_parser()
-    for key in ("qmax", "seed", "tmax", "step"):
+    for command, key in (("badness", "qmax"), ("dimension", "seed"), ("kronecker", "tmax"),
+                         ("scan", "step")):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = many\n", encoding="utf-8")
         with pytest.raises(ConfigError, match=key):
-            build_config(parser.parse_args(["badness", "--config", str(cfg)]))
+            build_config(parser.parse_args([command, "--config", str(cfg)]))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--signal", "golden", "--eps", "0.1", "--window", "0:10", "--step", "abc"],
+        ["scan", "--signal", "golden", "--bogus", "1"],
+        ["nope"],
+        [],
+    ],
+)
+def test_usage_errors_exit_1_without_traceback(argv):
+    result = _python("-m", "qplab", *argv)
+    assert result.returncode == 1, result.stderr
+    assert "usage:" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_help_exits_0():
+    result = _python("-m", "qplab", "scan", "--help")
+    assert result.returncode == 0, result.stderr
+    assert "--window" in result.stdout and "--seed" not in result.stdout
+
+
+def test_flags_are_never_abbreviated(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["kronecker", "--signal", "golden", "--kappa", "0,pi", "--eps", "0.3", "--t", "5"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --t 5" in capsys.readouterr().err
+    assert main(["eval", "--signal", "golden", "--t", "0.5"]) == 0
 
 
 def test_length_curve_and_di_fit_share_samples(tmp_path):

@@ -226,7 +226,7 @@ def test_sqrt23_hull_grid_matches_per_ball(sqrt23):
 
 @pytest.mark.parametrize("n,eps", [(1, 0.05), (1, 0.7), (2, 0.2), (2, 0.9), (3, 0.5)])
 def test_sup_grid_matches_per_ball(n, eps):
-    grid = TorusGridSample.sup_grid(n, eps)
+    grid = TorusGridSample(cells=(math.ceil(8 * math.pi / eps),) * n)
     assert grid_counts(grid, eps) == reference_grid_counts(grid, eps)
 
 

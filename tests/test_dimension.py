@@ -15,7 +15,6 @@ from qplab.dimension import (
     orbit_angles,
     orbit_angles_many,
     orbit_segment_sample,
-    torus_dimension_report,
     torus_distance,
 )
 from qplab.errors import BudgetExceeded, GridTooCoarse, TooFewScales
@@ -160,7 +159,7 @@ def test_covering_hull_grid_matches_point_cloud(single_term):
 
 
 def test_covering_torus_sup():
-    grid = TorusGridSample.sup_grid(2, math.pi / 2)
+    grid = TorusGridSample(cells=(math.ceil(8 * math.pi / (math.pi / 2)),) * 2)
     cover, packing = covering_number(grid, math.pi / 2)
     assert 4 <= cover <= 9
     assert packing >= 2
@@ -176,9 +175,9 @@ def test_covering_grid_too_coarse():
         covering_number(sample, 0.5)  # needs density <= 0.125
 
 
-def test_covering_budget():
+def test_covering_budget(golden):
     with pytest.raises(BudgetExceeded):
-        TorusGridSample.sup_grid(2, 1e-4)
+        TorusGridSample.hull_grid(golden, 1e-4)
 
 
 def test_packing_separation_is_genuine():
@@ -211,7 +210,8 @@ def test_dimension_fit_too_few_scales():
 
 def test_torus_dimension_circle():
     eps = [2.0**-k for k in range(2, 9)]
-    lower, upper = dimension_fit(torus_dimension_report(1, eps))
+    counts = [covering_number(TorusGridSample(cells=(math.ceil(8 * math.pi / e),)), e) for e in eps]
+    lower, upper = dimension_fit(CoveringReport(eps_grid=tuple(eps), counts=tuple(counts)))
     assert abs(lower - 1.0) <= 0.1
     assert abs(upper - 1.0) <= 0.1
 
@@ -243,7 +243,8 @@ def test_orbit_segment_sample_density(golden):
     assert sample.points.shape[1] == 2
     assert sample.density_radius <= 0.4 / 4 + 1e-12
     with pytest.raises(BudgetExceeded):
-        orbit_segment_sample(golden, -5.0, 5.0, 0.4, max_points=10)
+        # more than 2**24 points; raised before any row is allocated
+        orbit_segment_sample(golden, -1e5, 1e5, 0.4)
 
 
 def test_segment_cover_checks_single_term_full_circle(single_term):

@@ -149,16 +149,11 @@ def test_signal_validation():
         QuasiperiodicSignal([])
 
 
-def test_single_term_claims_independence(single_term):
-    assert single_term.independence_claimed
-
-
 def test_presets():
     g = preset("golden")
     g1 = preset("golden1")
     s = preset("sqrt23")
     assert g.n == 2 and g1.n == 2 and s.n == 3
-    assert g.independence_claimed and s.independence_claimed
     tp = float(two_pi())
     phi = float(golden_ratio())
     assert g.exponents_float[0] == pytest.approx(tp, rel=1e-15)
@@ -175,7 +170,6 @@ def test_parse_signal_literal():
     assert f.terms[0][0] == 1 + 0j
     assert f.terms[1][0] == 2 - 1j
     assert float(f.terms[1][1]) == 1.0
-    assert not f.independence_claimed  # two hand-entered exponents, no claim
 
 
 def test_parse_signal_preset_name():
