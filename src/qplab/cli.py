@@ -457,14 +457,24 @@ _FLAG_HELP = {
     "signal": "signal literal or preset name",
     "eps": "eps list a,b,... or range start:count:factor",
     "window": "scan window lo:hi",
-    "step": "scan step",
-    "seed": "random seed for sampled checks",
-    "grid": "max grid points per scan",
-    "out": "output path (default stdout)",
+    "step": "scan step (default eps/(4C), C the Lipschitz constant)",
     "t": "time at which to evaluate",
+    "depth": "number of certified partial quotients",
     "x": "number: phi, sqrt2, sqrt3, p/q, or decimal",
     "alpha": "comma list of numbers",
+    "delta": "distance bound in (0, 1/2) that every q*alpha_j must meet",
+    "qmax": "largest denominator q scanned",
     "kappa": "comma list of target phases",
+    "tmax": "end of the time range searched",
+    "grid": "max grid points per scan",
+    "seed": "random seed for sampled checks",
+    "suite": "bundled verification suite",
+    "initial_width": "first window width of each eps (default 4/eps)",
+    "min_hits": "outer intervals a window must hold before it stops doubling",
+    "max_doublings": "most window doublings per eps",
+    "precision_bits": "mpmath working precision in bits (default QPLAB_PRECISION_BITS or 256)",
+    "out": "output path (default stdout)",
+    "format": "report format",
 }
 
 _FLAG_CHOICES = {"format": ("csv", "json"), "suite": verify_mod.SUITE_NAMES}
@@ -495,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
                 type=_FIELD_TYPES[name],
                 default=None,
                 choices=_FLAG_CHOICES.get(name),
-                help=_FLAG_HELP.get(name),
+                help=_FLAG_HELP[name],
             )
     return parser
 

@@ -5,25 +5,31 @@ input carries an interval one working-precision ulp wide, and expansion stops
 (PrecisionExhausted) rather than emit a quotient the interval cannot pin down.
 Distance-to-nearest-integer scans run on exact integer residues of each
 input's rational value (mpf inputs are dyadic rationals), so q*alpha is
-resolved exactly at every scanned q and a zero distance means exactly
-integral, never a rounding artifact.
+filtered by a certified fixed-point bound, then resolved exactly at every
+candidate, and a zero distance means exactly integral, never a rounding
+artifact.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .errors import BudgetExceeded, PrecisionExhausted
-from .precision import as_mpf, mpf_to_fraction, ulp_uncertainty
+from .precision import as_mpf, mpf_to_fraction, to_fixed_point, ulp_uncertainty
 
 MAX_Q = 10**7  # cap on Q and qmax of the denominator scans
 MAX_SOLVER_POINTS = 2**26
 _CHUNK = 2**20
+# q per chunk of the denominator scans, so each array temporary is 512 KiB
+_Q_CHUNK = 2**16
+# float64 rounding of the badness bounds, in units of 2**-64 and relative;
+# derived in badness_score
+_ROUNDING_UNITS = 2**11
+_REL_SLACK = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -103,9 +109,7 @@ def cf_expand(x, depth: int) -> ContinuedFraction:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if isinstance(x, (int, Fraction)):
-        return _cf_expand_rational(Fraction(x), depth)
-    if isinstance(x, float):
+    if isinstance(x, (int, float, Fraction)):
         return _cf_expand_rational(Fraction(x), depth)
     center = mpf_to_fraction(as_mpf(x))
     radius = ulp_uncertainty(as_mpf(x))
@@ -158,12 +162,69 @@ def _exact_residue_increments(alpha: Sequence) -> list[tuple[int, int]]:
     return out
 
 
+def _fixed_point_distances(
+    coords: Sequence[tuple[int, int]], qmax: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Chunks ``(start, q, dist)`` covering q = 1..qmax, with q a uint64 array
+    and dist = max_j dist(q*alpha_j, Z) in units of 2**-64, off by at most q/2.
+
+    a_j = round(alpha_j * 2**64) mod 2**64 is off by at most half a unit, so
+    the wrapping uint64 product u = q*a_j is q*alpha_j mod 1 to within q/2
+    units; min(u, -u) is its distance to Z to within the same, the distance
+    being 1-Lipschitz on the circle, and so is the max over j.
+    """
+    steps = [np.uint64(to_fixed_point(Fraction(inc, den), 64) % 2**64) for inc, den in coords]
+    for start in range(1, qmax + 1, _Q_CHUNK):
+        q = np.arange(start, min(start + _Q_CHUNK, qmax + 1), dtype=np.uint64)
+        dist = np.zeros_like(q)
+        for step in steps:
+            u = q * step
+            np.maximum(dist, np.minimum(u, -u), out=dist)
+        yield start, q, dist
+
+
+def _exact_score(coords: Sequence[tuple[int, int]], power: float, q: int) -> float:
+    """q**power * max_j dist(q*alpha_j, Z), each distance an exact residue rounded once."""
+    worst = 0.0
+    for inc, den in coords:
+        r = q * inc % den
+        worst = max(worst, min(r, den - r) / den)
+    return (q**power) * worst
+
+
+def _exact_within(coords: Sequence[tuple[int, int]], delta: Fraction, q: int) -> bool:
+    """dist(q*alpha_j, Z) <= delta for every j, decided in integer arithmetic."""
+    for inc, den in coords:
+        r = q * inc % den
+        # min(r, den-r)/den <= delta.num/delta.den, cross-multiplied
+        if min(r, den - r) * delta.denominator > delta.numerator * den:
+            return False
+    return True
+
+
 def badness_score(alpha: Sequence, Q: int) -> BadnessReport:
     """Empirical badly-approximable constant of a tuple over denominators <= Q.
 
-    Exact residue arithmetic resolves dist(q*alpha_j, Z) at every q; the
-    score is min over q of q**(1/n) * max_j of that distance, which is zero
-    iff some q <= Q makes every q*alpha_j integral.
+    The score is min over q of S_q = q**(1/n) * max_j dist(q*alpha_j, Z),
+    computed in float from exact residues, which is zero iff some q <= Q makes
+    every q*alpha_j integral; argmin_q is the first q attaining it.
+
+    Each chunk of q is filtered by float64 bounds lower_q <= S_q <= upper_q
+    built from the fixed-point distance M of ``_fixed_point_distances``. With
+    E the exact max distance, |M - E*2**64| <= q/2. Converting M to float64
+    and then adding or subtracting h = q/2 + 2**11 are each off by at most
+    half an ulp below 2**64, 2**10 units, so (M -/+ h)*2**-64 bracket E (the
+    scaling is exact). S_q rounds the quotient E, Python's q**(1/n) and their
+    product, so S_q >= E*t*(1-u)**2*(1-e) with t = q**(1/n) exactly, u = 2**-53
+    and e the relative error of Python's pow. lower_q multiplies the low end
+    by numpy's root, at most t*(1+e'), and by 1 - 2**-40, rounding twice, so
+    lower_q <= E*t*(1+e')*(1+u)**2*(1-2**-40) <= S_q whenever e, e' <= 2**-42,
+    about a thousand ulps, far beyond the error of either pow. upper_q is
+    symmetric. A q with lower_q > min(best so far, min of upper_q' over q' <=
+    q) has an earlier q' with a strictly smaller score, so it cannot be the
+    first argmin. The rest are rechecked in increasing order with the exact
+    score and a strict update, so score and argmin are the full scan's bit
+    for bit.
     """
     n = len(alpha)
     if n < 1:
@@ -174,23 +235,22 @@ def badness_score(alpha: Sequence, Q: int) -> BadnessReport:
         raise BudgetExceeded(f"Q={Q} exceeds cap {MAX_Q}")
     coords = _exact_residue_increments(alpha)
     power = 1.0 / n
-    residues = [0] * n
     best_score = math.inf
     best_q = 0
-    for q in range(1, Q + 1):
-        worst = 0.0
-        for j, (inc, den) in enumerate(coords):
-            r = residues[j] + inc
-            if r >= den:
-                r -= den
-            residues[j] = r
-            d = min(r, den - r) / den
-            if d > worst:
-                worst = d
-        score = (q**power) * worst
-        if score < best_score:
-            best_score = score
-            best_q = q
+    for start, q, dist in _fixed_point_distances(coords, Q):
+        qf = q.astype(np.float64)
+        halfwidth = 0.5 * qf + _ROUNDING_UNITS
+        root = qf**power
+        distf = dist.astype(np.float64)
+        lower = (distf - halfwidth) * 2.0**-64 * root * (1.0 - _REL_SLACK)
+        upper = (distf + halfwidth) * 2.0**-64 * root * (1.0 + _REL_SLACK)
+        threshold = np.minimum(np.minimum.accumulate(upper), best_score)
+        for i in np.flatnonzero(lower <= threshold).tolist():
+            score = _exact_score(coords, power, start + i)
+            if score < best_score:
+                best_score, best_q = score, start + i
+                if score == 0.0:  # no score is negative, so none can replace it
+                    return BadnessReport(n=n, Q=Q, score=best_score, argmin_q=best_q)
     return BadnessReport(n=n, Q=Q, score=best_score, argmin_q=best_q)
 
 
@@ -198,7 +258,10 @@ def best_simultaneous_denominator(alpha: Sequence, delta: float, qmax: int) -> i
     """Smallest q <= qmax with dist(q*alpha_j, Z) <= delta for every j, else None.
 
     The comparison against delta is exact: dist <= delta is decided in integer
-    arithmetic on each coordinate's rational value.
+    arithmetic on each coordinate's rational value. Only q whose fixed-point
+    distance M could allow it are tested: dist <= delta and |M - dist*2**64|
+    <= q/2 give M < floor(delta*2**64) + 1 + q/2, so the integer M is at most
+    floor(delta*2**64) + 1 + floor(q/2).
     """
     if not 0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
@@ -208,22 +271,11 @@ def best_simultaneous_denominator(alpha: Sequence, delta: float, qmax: int) -> i
         raise BudgetExceeded(f"qmax={qmax} exceeds cap {MAX_Q}")
     coords = _exact_residue_increments(alpha)
     delta_frac = Fraction(delta)
-    # dist = min(r, den-r)/den <= delta  <=>  min(...) * delta.den <= delta.num * den
-    thresholds = [(delta_frac.numerator * den, delta_frac.denominator) for _, den in coords]
-    residues = [0] * len(coords)
-    for q in range(1, qmax + 1):
-        ok = True
-        for j, (inc, den) in enumerate(coords):
-            r = residues[j] + inc
-            if r >= den:
-                r -= den
-            residues[j] = r
-            if ok:
-                num_bound, dden = thresholds[j]
-                if min(r, den - r) * dden > num_bound:
-                    ok = False
-        if ok:
-            return q
+    limit = np.uint64(math.floor(delta_frac * 2**64) + 1)
+    for start, q, dist in _fixed_point_distances(coords, qmax):
+        for i in np.flatnonzero(dist <= limit + (q >> 1)).tolist():
+            if _exact_within(coords, delta_frac, start + i):
+                return start + i
     return None
 
 

@@ -14,7 +14,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .errors import BudgetExceeded, SignalParseError
 from .precision import as_mpf, golden_ratio, sqrt2, sqrt3, two_pi

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -415,6 +416,14 @@ def test_help_exits_0():
     result = _python("-m", "qplab", "scan", "--help")
     assert result.returncode == 0, result.stderr
     assert "--window" in result.stdout and "--seed" not in result.stdout
+
+
+def test_every_flag_has_help():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            assert action.help, (command, action.option_strings)
 
 
 def test_flags_are_never_abbreviated(capsys):

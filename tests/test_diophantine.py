@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from mpmath import mp
 from qplab.diophantine import (
     BadnessReport,
     ContinuedFraction,
+    _cf_expand_rational,
     badness_score,
     best_simultaneous_denominator,
     cf_expand,
@@ -17,9 +19,11 @@ from qplab.diophantine import (
 )
 from qplab.errors import BudgetExceeded, PrecisionExhausted
 from qplab.precision import (
+    as_mpf,
     golden_ratio,
     mpf_to_fraction,
     sqrt2,
+    sqrt3,
     to_fixed_point,
     two_pi,
 )
@@ -275,3 +279,35 @@ def test_badness_stays_bounded_to_one_million():
     # bounded partial quotients keep the score bounded away from zero
     assert badness_score([golden_ratio()], 10**6).score >= 0.3
     assert badness_score([sqrt2()], 10**6).score >= 0.3
+
+
+# Lagrange: a best approximation of the second kind is a convergent denominator
+# (Khinchin, Continued Fractions, section 6). The first argmin of q*dist(q*alpha, Z)
+# is one, since rounding is monotone; so is the smallest q with dist <= delta.
+
+
+def _convergent_denominators(x):
+    """Every convergent denominator of the exact rational stored in x (q_0 = 1 included)."""
+    cf = _cf_expand_rational(mpf_to_fraction(as_mpf(x)), 10**4)
+    return {q for _, q in cf.convergents}
+
+
+def _oracle_inputs():
+    rng = random.Random(11)
+    seeded = [mp.mpf(rng.randrange(1, 10**40)) / rng.randrange(2, 10**8) for _ in range(10)]
+    return [golden_ratio(), 1 / golden_ratio(), sqrt2(), sqrt3()] + seeded
+
+
+@pytest.mark.parametrize("Q", [10, 1000, 10**5])
+def test_badness_argmin_is_a_convergent_denominator(Q):
+    for x in _oracle_inputs():
+        assert badness_score([x], Q).argmin_q in _convergent_denominators(x), x
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.05, 1e-3, 1e-5])
+def test_simdenom_is_a_convergent_denominator(delta):
+    for x in _oracle_inputs():
+        q = best_simultaneous_denominator([x], delta, 10**5)
+        # Dirichlet: some q <= 1/delta has dist(q*x, Z) < delta
+        assert q is not None
+        assert q in _convergent_denominators(x), x
