@@ -28,12 +28,11 @@ from .diophantine import (
     badness_score,
     best_simultaneous_denominator,
     cf_expand,
-    convergents,
     kronecker_residuals,
     kronecker_solve,
 )
 from .dimension import dimension_fit, equivalence_constants, hull_dimension_report
-from .errors import BudgetExceeded, ConfigError, QplabError, SignalParseError
+from .errors import BudgetExceeded, ConfigError, QplabError
 from .precision import golden_ratio, set_working_precision, sqrt2, sqrt3
 from .reports import render_csv, render_json, write_text
 from .signal import (
@@ -336,15 +335,14 @@ def _cmd_length_curve(config: RunConfig) -> int:
 def _cmd_cf(config: RunConfig) -> int:
     _require(config, "x")
     cf = cf_expand(parse_constant(config.x), config.depth)
-    pairs = convergents(cf, len(cf.quotients))
     payload = {
         "a0": cf.a0,
         "quotients": list(cf.quotients),
-        "convergents": [[str(p), str(q)] for p, q in pairs],
+        "convergents": [[str(p), str(q)] for p, q in cf.convergents],
         "exact": cf.exact,
         "error_bound": float(cf.error_bound) if cf.error_bound is not None else None,
     }
-    rows = [{"k": k, "p": str(p), "q": str(q)} for k, (p, q) in enumerate(pairs)]
+    rows = [{"k": k, "p": str(p), "q": str(q)} for k, (p, q) in enumerate(cf.convergents)]
     _emit(config, payload, columns=("k", "p", "q"), rows=rows)
     return 0
 
@@ -525,9 +523,6 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, SignalParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (QplabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -201,12 +201,6 @@ class TorusGridSample:
         below = np.flatnonzero(profile < radius)
         return int(below[-1]) if below.size else 0
 
-    def offset_metric(self, offsets: Sequence[int]) -> float:
-        """Metric value of an integer cell-offset vector (components <= m//2)."""
-        return float(reduce(self.combine, [
-            self.axis_profile(axis)[abs(o)] for axis, o in enumerate(offsets)
-        ]))
-
     @classmethod
     def hull_grid(cls, f: QuasiperiodicSignal, eps: float) -> "TorusGridSample":
         weights = tuple(float(w) for w in f.amplitude_moduli)
@@ -240,20 +234,6 @@ def _offsets_metric(sample: TorusGridSample, offsets: Sequence[np.ndarray]) -> n
     return reduce(sample.combine, parts)
 
 
-def _grid_ball_mask(sample: TorusGridSample, reaches: Sequence[int], radius: float) -> np.ndarray:
-    """Stencil over the reach box: offsets with metric < radius (the whole box for sup)."""
-    return _offsets_metric(sample, [np.abs(np.arange(-r, r + 1)) for r in reaches]) < radius
-
-
-def _grid_mark_slow(covered: np.ndarray, sample: TorusGridSample, center, radius: float):
-    """Exact ball marking via full per-axis distance arrays (small grids only)."""
-    offsets = []
-    for c, m in zip(center, sample.cells):
-        o = np.abs(np.arange(m) - c)
-        offsets.append(np.minimum(o, m - o))
-    covered |= _offsets_metric(sample, offsets) < radius
-
-
 def _cover_advances(sample: TorusGridSample, radius: float) -> list[int]:
     """Per-axis center offset keeping the first uncovered cell inside the ball."""
     n_axes = len(sample.cells)
@@ -261,7 +241,10 @@ def _cover_advances(sample: TorusGridSample, radius: float) -> list[int]:
         advances = [sample.reach(axis, radius) for axis in range(n_axes)]
     else:
         advances = [sample.reach(axis, radius / n_axes) for axis in range(n_axes)]
-    while sample.offset_metric(advances) >= radius and any(a > 0 for a in advances):
+    while (
+        _offsets_metric(sample, [[a] for a in advances]).item() >= radius
+        and any(a > 0 for a in advances)
+    ):
         k = max(range(n_axes), key=lambda a: advances[a])
         advances[k] -= 1
     return advances
@@ -276,25 +259,17 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
     of the last axis, so the line's balls follow from its unset positions
     alone. They are then marked together: the flat index of each stencil cell
     is a wrapped lookup of its head offsets plus its last-axis offset, with the
-    few cells past an end of the line moved by m.
+    few cells past an end of the line moved by m. A ball wraps onto itself only
+    when an axis has m even and reach m/2; its stencil then holds the cell at
+    offset +-m/2 twice, and marking a cell twice does nothing.
     """
     cells = sample.cells
     reaches = [sample.reach(axis, radius) for axis in range(len(cells))]
     # the flags get an anonymous mapping of their own, so their pages go back to
     # the system on return; tens of MB freed to the heap would stay resident
     covered = np.frombuffer(mmap.mmap(-1, sample.size), dtype=bool)
-    if any(2 * r + 1 > m for r, m in zip(reaches, cells)):
-        # a ball wraps onto itself along some axis: mark each one exactly
-        grid = covered.reshape(cells)
-        count = 0
-        i = _next_unset(covered, 0)
-        while i >= 0:
-            count += 1
-            center = [(c + a) % m for c, a, m in zip(np.unravel_index(i, cells), advances, cells)]
-            _grid_mark_slow(grid, sample, center, radius)
-            i = _next_unset(covered, i + 1)
-        return count
-    mask = _grid_ball_mask(sample, reaches, radius)
+    # stencil over the reach box: offsets with metric < radius (the whole box for sup)
+    mask = _offsets_metric(sample, [np.abs(np.arange(-r, r + 1)) for r in reaches]) < radius
     n = len(cells)
     m, a, r = cells[-1], advances[-1], reaches[-1]
     # the stencil row through the first unset cell; symmetric and contiguous

@@ -78,48 +78,31 @@ def _convergents_from(a0: int, quotients: Sequence[int]) -> tuple[tuple[int, int
     return tuple(out)
 
 
-def _cf_expand_rational(x: Fraction, depth: int) -> ContinuedFraction:
-    a0 = x.numerator // x.denominator
-    rem = x - a0
-    quotients: list[int] = []
-    exact = rem == 0
-    while rem != 0 and len(quotients) < depth:
-        rem = 1 / rem
-        a = rem.numerator // rem.denominator
-        quotients.append(a)
-        rem -= a
-        exact = rem == 0
-    return ContinuedFraction(
-        a0=a0,
-        quotients=tuple(quotients),
-        convergents=_convergents_from(a0, quotients),
-        exact=exact,
-        error_bound=Fraction(0) if exact else None,
-    )
-
-
 def cf_expand(x, depth: int) -> ContinuedFraction:
     """Continued-fraction expansion with ``depth`` certified partial quotients.
 
-    Exact rational inputs (int, Fraction, float) expand by the Euclidean
-    algorithm and may terminate early. An mpf input is treated as an interval
-    of one working-precision ulp around its stored value;
-    PrecisionExhausted is raised if the interval cannot certify a quotient
-    before ``depth`` is reached.
+    An mpf input is treated as an interval of one working-precision ulp around
+    its stored value; PrecisionExhausted is raised if the interval cannot
+    certify a quotient before ``depth`` is reached. An exact rational input
+    (int, Fraction, float) is an interval of width zero, which always certifies
+    and may terminate early: ``exact`` then holds and the error bound is 0;
+    cut off at ``depth``, it has no error bound.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if isinstance(x, (int, float, Fraction)):
-        return _cf_expand_rational(Fraction(x), depth)
-    center = mpf_to_fraction(as_mpf(x))
-    radius = ulp_uncertainty(as_mpf(x))
+        center, radius = Fraction(x), Fraction(0)
+    else:
+        center = mpf_to_fraction(as_mpf(x))
+        radius = ulp_uncertainty(as_mpf(x))
     lo, hi = center - radius, center + radius
     quotients: list[int] = []
     a0 = lo.numerator // lo.denominator
     if a0 != hi.numerator // hi.denominator:
         raise PrecisionExhausted("interval straddles an integer", 0)
     lo, hi = lo - a0, hi - a0
-    while len(quotients) < depth:
+    # hi == 0 only for width zero: a wider interval has lo < hi with one integer part
+    while len(quotients) < depth and hi != 0:
         if lo <= 0:
             raise PrecisionExhausted(
                 f"cannot certify quotient {len(quotients) + 1}", len(quotients)
@@ -133,21 +116,19 @@ def cf_expand(x, depth: int) -> ContinuedFraction:
         quotients.append(a)
         lo, hi = lo - a, hi - a
     convergents = _convergents_from(a0, quotients)
-    _, qk = convergents[-1]
+    if radius == 0:
+        exact = hi == 0
+        error_bound = Fraction(0) if exact else None
+    else:
+        _, qk = convergents[-1]
+        exact, error_bound = False, radius + Fraction(1, qk * qk)
     return ContinuedFraction(
         a0=a0,
         quotients=tuple(quotients),
         convergents=convergents,
-        exact=False,
-        error_bound=radius + Fraction(1, qk * qk),
+        exact=exact,
+        error_bound=error_bound,
     )
-
-
-def convergents(cf: ContinuedFraction, k: int) -> tuple[tuple[int, int], ...]:
-    """Convergents p_0/q_0 .. p_k/q_k of an expansion."""
-    if k < 0 or k > len(cf.quotients):
-        raise ValueError(f"convergent index {k} out of range 0..{len(cf.quotients)}")
-    return cf.convergents[: k + 1]
 
 
 def _exact_residue_increments(alpha: Sequence) -> list[tuple[int, int]]:

@@ -92,24 +92,10 @@ def ulp_uncertainty(x: mpf) -> Fraction:
     return frac / (1 << (mp.prec - GUARD_BITS))
 
 
-def to_fixed_point(alpha, frac_bits: int) -> int:
-    """round(alpha * 2**frac_bits) computed exactly.
-
-    Accepts mpf, Fraction, int, float, or a decimal string. Floats convert
-    exactly (they are dyadic rationals).
-    """
-    if isinstance(alpha, int):
-        return alpha << frac_bits
-    if isinstance(alpha, float):
-        alpha = Fraction(alpha)
-    if isinstance(alpha, Fraction):
-        scaled = alpha * (1 << frac_bits)
-        floor = scaled.numerator // scaled.denominator
-        rem = scaled - floor
-        return floor + (1 if 2 * rem >= 1 else 0)
-    with mp.extraprec(frac_bits + 64):
-        x = as_mpf(alpha)
-        return int(mp.nint(mp.ldexp(x, frac_bits)))
+def to_fixed_point(alpha: Fraction, frac_bits: int) -> int:
+    """round(alpha * 2**frac_bits) computed exactly, halves rounded up."""
+    num, den = alpha.numerator, alpha.denominator
+    return ((num << (frac_bits + 1)) + den) // (2 * den)
 
 
 def fold_angle(x: mpf) -> mpf:

@@ -4,8 +4,10 @@ The torus-grid greedy works one line of the last axis at a time and marks a
 line's balls in one scatter; the orbit-segment greedy tests only the rows at
 lags where D(k h) can fall below the radius. Both must give exactly the counts
 of the per-ball references kept here: the grid greedy that finds each first
-unset cell and marks one ball at a time (``_grid_mark``, ``_next_unset``,
-``_grid_mark_slow``), and the segment greedy that tests every row.
+unset cell and marks one ball at a time (``_grid_mark``, ``_next_unset``, and
+``_grid_mark_slow`` from full per-axis distances when a ball wraps onto itself
+along some axis, which the line-by-line scatter handles like any other ball),
+and the segment greedy that tests every row.
 """
 import math
 from itertools import product
@@ -239,6 +241,25 @@ def test_non_square_grid_matches_per_ball(cells, chord, eps):
     assert grid_counts(grid, eps) == reference_grid_counts(grid, eps)
 
 
+def _packing_wraps(grid, eps):
+    reaches = [_reach(grid, axis, 2.0 * eps) for axis in range(len(grid.cells))]
+    return any(2 * r + 1 > m for r, m in zip(reaches, grid.cells))
+
+
+def _self_wrapping_grids(count):
+    """Seeded small grids, sup or chord, on which the packing ball wraps onto itself."""
+    rng = np.random.default_rng(3000)
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(1, 4))
+        cells = tuple(int(m) for m in rng.integers(1, {1: 91, 2: 31, 3: 13}[n], n))
+        weights = None if rng.random() < 0.3 else tuple(float(w) for w in rng.uniform(0.2, 2.0, n))
+        eps = round(float(rng.uniform(0.05, 3.5)), 3)
+        if _packing_wraps(TorusGridSample(cells=cells, weights=weights), eps):
+            out.append((cells, weights, eps))
+    return out
+
+
 @pytest.mark.parametrize(
     "cells,weights,eps",
     [
@@ -248,12 +269,12 @@ def test_non_square_grid_matches_per_ball(cells, chord, eps):
         ((8, 3), (1.0, 0.5), 1.05),
         ((8, 11, 13), (1.0, 0.6, 0.35), 1.1),
         ((4, 40), (0.4, 1.0), 0.5),
+        *_self_wrapping_grids(60),
     ],
 )
-def test_small_grid_exact_path_matches_per_ball(cells, weights, eps):
+def test_self_wrapping_grid_matches_per_ball(cells, weights, eps):
     grid = TorusGridSample(cells=cells, weights=weights)
-    reaches = [_reach(grid, axis, 2.0 * eps) for axis in range(len(cells))]
-    assert any(2 * r + 1 > m for r, m in zip(reaches, cells))  # the packing takes the exact path
+    assert _packing_wraps(grid, eps)
     assert grid_counts(grid, eps) == reference_grid_counts(grid, eps)
 
 

@@ -9,11 +9,9 @@ from mpmath import mp
 from qplab.diophantine import (
     BadnessReport,
     ContinuedFraction,
-    _cf_expand_rational,
     badness_score,
     best_simultaneous_denominator,
     cf_expand,
-    convergents,
     kronecker_residuals,
     kronecker_solve,
 )
@@ -67,6 +65,14 @@ def test_cf_negative_rational_reconstructs():
     assert all(a >= 1 for a in cf.quotients)
 
 
+def test_cf_rational_cut_off_at_depth():
+    cf = cf_expand(Fraction(355, 113), 1)
+    assert (cf.quotients, cf.exact, cf.error_bound) == ((7,), False, None)
+    # 355/113 = [3; 7, 16] ends exactly at depth 2
+    cf = cf_expand(Fraction(355, 113), 2)
+    assert (cf.quotients, cf.exact, cf.error_bound) == ((7, 16), True, 0)
+
+
 def test_cf_integer():
     cf = cf_expand(7, 5)
     assert (cf.a0, cf.quotients, cf.exact) == (7, (), True)
@@ -94,8 +100,8 @@ def test_cf_reconstruction_error_bound():
 
 def test_convergents_phi_fibonacci():
     cf = cf_expand(golden_ratio(), 10)
-    assert convergents(cf, 4) == ((1, 1), (2, 1), (3, 2), (5, 3), (8, 5))
-    assert convergents(cf, 0) == ((1, 1),)
+    assert cf.convergents[:5] == ((1, 1), (2, 1), (3, 2), (5, 3), (8, 5))
+    assert cf.convergents[:1] == ((1, 1),)
 
 
 def test_convergents_recurrence_and_coprime():
@@ -122,14 +128,6 @@ def test_convergents_alternate_and_tighten():
         p, q = cf.convergents[k]
         q_next = cf.convergents[k + 1][1]
         assert abs(x - Fraction(p, q)) < Fraction(1, q * q_next)
-
-
-def test_convergents_out_of_range():
-    cf = cf_expand(golden_ratio(), 5)
-    with pytest.raises(ValueError):
-        convergents(cf, 6)
-    with pytest.raises(ValueError):
-        convergents(cf, -1)
 
 
 def test_badness_phi():
@@ -262,10 +260,14 @@ def test_fixed_point_exactness():
     # round(phi * 2^80) must be exact: compare against Fraction arithmetic
     phi_frac = mpf_to_fraction(golden_ratio())
     expected = (phi_frac * (1 << 80)).__round__()
-    assert to_fixed_point(golden_ratio(), 80) == expected
+    assert to_fixed_point(phi_frac, 80) == expected
     assert to_fixed_point(Fraction(1, 3), 10) == round(1024 / 3)
-    assert to_fixed_point(0.5, 4) == 8
-    assert to_fixed_point(3, 4) == 48
+    assert to_fixed_point(Fraction(1, 2), 4) == 8
+    assert to_fixed_point(Fraction(3), 4) == 48
+    assert to_fixed_point(Fraction(-1, 3), 10) == -341  # -341.33 rounds to -341
+    # an exact half unit rounds up, toward +inf, on both signs
+    assert to_fixed_point(Fraction(3, 2**5), 4) == 2  # 1.5 units
+    assert to_fixed_point(Fraction(-3, 2**5), 4) == -1  # -1.5 units
 
 
 def test_continued_fraction_validation():
@@ -288,7 +290,7 @@ def test_badness_stays_bounded_to_one_million():
 
 def _convergent_denominators(x):
     """Every convergent denominator of the exact rational stored in x (q_0 = 1 included)."""
-    cf = _cf_expand_rational(mpf_to_fraction(as_mpf(x)), 10**4)
+    cf = cf_expand(mpf_to_fraction(as_mpf(x)), 10**4)
     return {q for _, q in cf.convergents}
 
 
