@@ -87,9 +87,6 @@ class LengthCurve:
             if s.resolved and not (0 <= s.L_lower <= s.L_upper):
                 raise ValueError("need 0 <= L_lower <= L_upper")
 
-    def resolved_samples(self) -> tuple[LengthSample, ...]:
-        return tuple(s for s in self.samples if s.resolved)
-
 
 @dataclass(frozen=True)
 class ExponentFit:
@@ -100,20 +97,6 @@ class ExponentFit:
     residual: float
     eps_range: tuple[float, float]
     max_ratio: float
-
-
-@dataclass(frozen=True)
-class WindowPolicy:
-    """Adaptive scan-window policy for length curves.
-
-    The window starts at ``initial_width`` (default 4/eps) and doubles until
-    the outer set has at least ``min_hits`` intervals, the window covers
-    everything, or ``max_doublings`` is reached.
-    """
-
-    initial_width: float | None = None
-    min_hits: int = 5
-    max_doublings: int = 20
 
 
 def sublevel_scan(
@@ -259,13 +242,17 @@ def inclusion_length(s: IntervalSet) -> tuple[float, float]:
 def length_curve(
     f: QuasiperiodicSignal,
     eps_list: Sequence[float],
-    policy: WindowPolicy = WindowPolicy(),
+    initial_width: float | None = None,
+    min_hits: int = 5,
+    max_doublings: int = 20,
     max_grid_points: int = DEFAULT_MAX_GRID_POINTS,
 ) -> LengthCurve:
     """Inclusion-length bounds per eps with an adaptively grown scan window.
 
-    A budget overrun on one eps marks that sample unresolved instead of
-    failing the whole curve.
+    The window starts at ``initial_width`` (default 4/eps) and doubles until
+    the outer set has at least ``min_hits`` intervals, the window covers
+    everything, or ``max_doublings`` is reached. A budget overrun on one eps
+    marks that sample unresolved instead of failing the whole curve.
     """
     eps_values = list(eps_list)
     if not eps_values or any(e <= 0 for e in eps_values):
@@ -275,10 +262,10 @@ def length_curve(
     C = lipschitz_constant(f)
     samples = []
     for eps in eps_values:
-        width = policy.initial_width if policy.initial_width is not None else 4.0 / eps
+        width = initial_width if initial_width is not None else 4.0 / eps
         step = eps / (4.0 * C)
         sample = None
-        for _ in range(policy.max_doublings + 1):
+        for _ in range(max_doublings + 1):
             try:
                 scan = sublevel_scan(f, eps, (0.0, width), step, max_grid_points)
             except BudgetExceeded:
@@ -290,7 +277,7 @@ def length_curve(
                 and scan.outer[0][0] <= scan.window[0]
                 and scan.outer[0][1] >= scan.window[1]
             )
-            if len(scan.outer) >= policy.min_hits or whole_window:
+            if len(scan.outer) >= min_hits or whole_window:
                 break
             width *= 2.0
         if sample is None:
@@ -306,7 +293,7 @@ def fit_exponent(curve: LengthCurve) -> ExponentFit:
     length; also reports the pointwise maximum of ln L / ln(1/eps) over the
     same samples as a finite-scale stand-in for the limiting ratio.
     """
-    usable = [s for s in curve.resolved_samples() if s.L_upper > 0]
+    usable = [s for s in curve.samples if s.resolved and s.L_upper > 0]
     if len(usable) < 3:
         raise TooFewSamples(f"need >= 3 resolved samples with L > 0, have {len(usable)}")
     slope, intercept, residual = loglog_fit([s.eps for s in usable], [s.L_upper for s in usable])

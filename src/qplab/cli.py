@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -18,7 +19,7 @@ from mpmath import mp
 
 from . import verify as verify_mod
 from .almost_periods import (
-    WindowPolicy,
+    DEFAULT_MAX_GRID_POINTS,
     fit_exponent,
     inclusion_length,
     length_curve,
@@ -68,7 +69,7 @@ class RunConfig:
     qmax: int = 100000
     kappa: str | None = None
     tmax: float = 100.0
-    grid: int = 2**29
+    grid: int = DEFAULT_MAX_GRID_POINTS
     seed: int = 7
     suite: str = "golden"
     initial_width: float | None = None
@@ -93,9 +94,6 @@ class RunConfig:
             if kind is float and value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 # field name -> int, float or str, from the annotations; drives both the flag
 # types and the coercion of config-file values
@@ -106,10 +104,12 @@ _FIELD_TYPES = {
 
 
 def parse_constant(token: str):
-    """A number token: named constant, p/q rational, or decimal literal."""
+    """A number token: named constant, integer, p/q rational, or decimal literal."""
     token = token.strip()
     if token in _CONSTANTS:
         return _CONSTANTS[token]()
+    if re.fullmatch(r"[+-]?[0-9]+", token):
+        return int(token)
     if "/" in token:
         num, _, den = token.partition("/")
         try:
@@ -221,14 +221,6 @@ def _parse_signal_checked(text: str):
     return f
 
 
-def _window_policy(config: RunConfig) -> WindowPolicy:
-    return WindowPolicy(
-        initial_width=config.initial_width,
-        min_hits=config.min_hits,
-        max_doublings=config.max_doublings,
-    )
-
-
 def _require(config: RunConfig, *names: str) -> None:
     for name in names:
         if getattr(config, name) is None:
@@ -240,13 +232,13 @@ def _emit(config: RunConfig, payload: dict, columns=None, rows=None) -> None:
         text = render_csv(columns, rows, header_comments=_flat_config(config))
     else:
         payload = dict(payload)
-        payload["config"] = config.as_dict()
+        payload["config"] = asdict(config)
         text = render_json(payload)
     write_text(text, config.out)
 
 
 def _flat_config(config: RunConfig) -> dict:
-    return {k: v for k, v in config.as_dict().items() if v is not None}
+    return {k: v for k, v in asdict(config).items() if v is not None}
 
 
 def _cmd_eval(config: RunConfig) -> int:
@@ -300,7 +292,9 @@ def _cmd_length_curve(config: RunConfig) -> int:
     curve = length_curve(
         f,
         parse_eps_spec(config.eps),
-        policy=_window_policy(config),
+        initial_width=config.initial_width,
+        min_hits=config.min_hits,
+        max_doublings=config.max_doublings,
         max_grid_points=config.grid,
     )
     rows = [
@@ -458,7 +452,7 @@ _FLAG_HELP = {
     "step": "scan step (default eps/(4C), C the Lipschitz constant)",
     "t": "time at which to evaluate",
     "depth": "number of certified partial quotients",
-    "x": "number: phi, sqrt2, sqrt3, p/q, or decimal",
+    "x": "number: phi, sqrt2, sqrt3, integer, p/q, or decimal",
     "alpha": "comma list of numbers",
     "delta": "distance bound in (0, 1/2) that every q*alpha_j must meet",
     "qmax": "largest denominator q scanned",

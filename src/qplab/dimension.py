@@ -48,12 +48,6 @@ def orbit_angles(f: QuasiperiodicSignal, s: float) -> np.ndarray:
     return np.array([float(fold_angle(lam * mpf(s))) % TWO_PI for lam in f.exponents])
 
 
-def orbit_angles_many(f: QuasiperiodicSignal, s: np.ndarray) -> np.ndarray:
-    """Vectorized translate coordinates, one row per s value."""
-    lams = f.exponents_float
-    return np.mod(np.outer(s, lams), TWO_PI)
-
-
 def torus_distance(
     points: np.ndarray, center: np.ndarray, weights: Sequence[float] | None = None
 ) -> np.ndarray:
@@ -131,20 +125,18 @@ def equivalence_constants(
 
 @dataclass(frozen=True)
 class PointSample:
-    """Explicit angle rows in fixed sample order; ``weights`` selects the metric
-    as in torus_distance.
+    """Orbit-segment rows in sample order; ``weights`` selects the metric as in
+    torus_distance.
 
-    ``lag_distance[k]`` is D(k h) when row k is the translate at s_lo + k h, and
+    Row k is the translate at s_lo + k h, ``lag_distance[k]`` is D(k h), and
     ``lag_margin`` bounds |distance(row i, row i + k) - D(k h)|; the greedy
-    covers then test only the rows at lags where D can fall below the radius.
-    None means every row is a candidate.
+    cover then tests only the rows at lags where D can fall below the radius.
     """
 
     points: np.ndarray
-    weights: tuple[float, ...] | None = None
-    density_radius: float | None = None
-    lag_distance: np.ndarray | None = None
-    lag_margin: float = 0.0
+    weights: tuple[float, ...]
+    lag_distance: np.ndarray
+    lag_margin: float
 
     @property
     def size(self) -> int:
@@ -349,33 +341,17 @@ def _grid_greedy_packing(sample: TorusGridSample, separation: float) -> int:
     return _grid_greedy(sample, separation, [0] * len(sample.cells))
 
 
-def _candidate_lags(sample: PointSample, radius: float) -> tuple[np.ndarray, int]:
-    """(lags, stop): the sorted row offsets, of both signs, at which a row can lie
-    within radius of a center row, and the first positive offset at which none can.
-
-    Row distances differ from the lag distance by at most ``lag_margin``, so no
-    row at a lag with D(k h) >= radius + margin is within radius. Without lag
-    distances every offset is a candidate.
-    """
-    n = sample.size
-    if sample.lag_distance is None:
-        return np.arange(1 - n, n), n
-    near = sample.lag_distance < radius + sample.lag_margin
-    k = np.flatnonzero(near)
-    return np.concatenate((-k[:0:-1], k)), int(np.argmin(near)) or n  # near[0]: D(0) = 0
-
-
-def _mark_within(marked: np.ndarray, sample: PointSample, c: int, radius: float, lags) -> None:
-    """Mark the rows within radius of row c, testing only the rows at candidate lags."""
-    rows = c + lags[np.searchsorted(lags, -c) : np.searchsorted(lags, sample.size - c)]
-    near = torus_distance(sample.points[rows], sample.points[c], sample.weights) < radius
-    marked[rows[near]] = True
-
-
 def _points_greedy_cover(sample: PointSample, radius: float) -> int:
     points = sample.points
     n = sample.size
-    lags, stop = _candidate_lags(sample, radius)
+    # row distances differ from the lag distance by at most lag_margin, so no row
+    # at a lag with D(k h) >= radius + margin is within radius: lags are the sorted
+    # offsets, of both signs, at which a row can lie within radius of a center
+    # row, and stop is the first positive offset at which none can
+    near = sample.lag_distance < radius + sample.lag_margin
+    k = np.flatnonzero(near)
+    lags = np.concatenate((-k[:0:-1], k))
+    stop = int(np.argmin(near)) or n  # near[0]: D(0) = 0
     covered = np.zeros(n, dtype=bool)
     count = 0
     u = _next_unset(covered, 0)
@@ -391,46 +367,31 @@ def _points_greedy_cover(sample: PointSample, radius: float) -> int:
                 c = j + int(beyond[0]) - 1
                 break
         count += 1
-        _mark_within(covered, sample, c, radius, lags)
+        # mark the rows within radius of row c, testing only the rows at candidate lags
+        rows = c + lags[np.searchsorted(lags, -c) : np.searchsorted(lags, n - c)]
+        covered[rows[torus_distance(points[rows], points[c], sample.weights) < radius]] = True
         u = _next_unset(covered, u + 1)
     return count
 
 
-def _points_greedy_packing(sample: PointSample, separation: float) -> int:
-    lags, _ = _candidate_lags(sample, separation)
-    blocked = np.zeros(sample.size, dtype=bool)
-    count = 0
-    i = _next_unset(blocked, 0)
-    while i >= 0:
-        count += 1
-        _mark_within(blocked, sample, i, separation, lags)
-        i = _next_unset(blocked, i + 1)
-    return count
+def covering_number(sample: TorusGridSample, eps: float) -> tuple[int, int]:
+    """(cover_upper, packing_lower) for a torus grid at radius eps.
 
-
-def covering_number(sample, eps: float) -> tuple[int, int]:
-    """(cover_upper, packing_lower) for a finite metric sample at radius eps.
-
-    cover_upper counts greedy open balls of radius eps covering the sample,
+    cover_upper counts greedy open balls of radius eps covering the grid,
     an upper bound for its covering number; packing_lower is the size of a
     greedy subset with pairwise distances >= 2*eps, a lower bound. Requires
-    the sample to be eps/4-dense in its target set.
+    the grid to be eps/4-dense in the torus.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     density = sample.density_radius
-    if density is not None and density > eps / 4.0 + 1e-12:
+    if density > eps / 4.0 + 1e-12:
         raise GridTooCoarse(
             f"sample density radius {density:g} exceeds eps/4 = {eps / 4.0:g}"
         )
-    if isinstance(sample, TorusGridSample):
-        return (
-            _grid_greedy_cover(sample, eps),
-            _grid_greedy_packing(sample, 2.0 * eps),
-        )
     return (
-        _points_greedy_cover(sample, eps),
-        _points_greedy_packing(sample, 2.0 * eps),
+        _grid_greedy_cover(sample, eps),
+        _grid_greedy_packing(sample, 2.0 * eps),
     )
 
 
@@ -536,9 +497,8 @@ def orbit_segment_sample(
     h = (s_hi - s_lo) / max(1, npts - 1)
     lags = np.arange(npts, dtype=np.float64) * h
     return PointSample(
-        points=orbit_angles_many(f, s_lo + lags),
+        points=np.mod(np.outer(s_lo + lags, f.exponents_float), TWO_PI),
         weights=tuple(float(w) for w in f.amplitude_moduli),
-        density_radius=C * (s_hi - s_lo) / max(1, npts - 1) / 2.0,
         lag_distance=translation_distance_many(f, lags),
         lag_margin=_lag_margin(f, s_lo, h, npts),
     )
@@ -548,8 +508,6 @@ def orbit_segment_sample(
 class SegmentCoverChecks:
     """Raw counts and pass flags for the segment-vs-hull covering comparisons."""
 
-    eps: float
-    inclusion_lengths: tuple[tuple[float, float], ...]
     segment_count_2eps: int
     segment_count_eps: int
     segment_count_half_eps: int
@@ -599,8 +557,6 @@ def segment_cover_checks(
     delta_half = (eps / 2.0) / C
     bound = 2.0 * L_half / delta_half + 1.0
     return SegmentCoverChecks(
-        eps=eps,
-        inclusion_lengths=tuple((k, inclusion_lengths[k]) for k in required),
         segment_count_2eps=seg_2eps,
         segment_count_eps=seg_eps,
         segment_count_half_eps=seg_half,

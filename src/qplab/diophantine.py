@@ -48,10 +48,6 @@ class ContinuedFraction:
         if len(self.convergents) != len(self.quotients) + 1:
             raise ValueError("need one convergent per quotient plus the integer part")
 
-    def value(self) -> Fraction:
-        p, q = self.convergents[-1]
-        return Fraction(p, q)
-
 
 @dataclass(frozen=True)
 class BadnessReport:

@@ -23,8 +23,6 @@ from .dimension import equivalence_constants, orbit_angles, segment_cover_checks
 from .precision import golden_ratio, sqrt2, two_pi
 from .signal import QuasiperiodicSignal, preset, translation_distance_many
 
-SUITE_NAMES = ("golden", "sqrt23")
-
 GOLDEN_EPS_LADDER = tuple(0.4 * 2.0**-k for k in range(8))
 SQRT23_EPS_LADDER = tuple(0.8 * 2.0**-k for k in range(6))
 SLOPE_BAND_GOLDEN = (0.85, 1.15)
@@ -198,7 +196,7 @@ def _phase_alignment_check() -> dict:
     )
 
 
-def golden_suite(seed: int = 7) -> dict:
+def golden_suite(seed: int = 7) -> list[dict]:
     """Full verification battery for the two-harmonic golden-ratio signal."""
     f = preset("golden")
     checks = [
@@ -215,35 +213,27 @@ def golden_suite(seed: int = 7) -> dict:
     checks.append(_badness_check())
     checks.append(_aligned_denominator_check())
     checks.append(_phase_alignment_check())
-    return {
-        "suite": "golden",
-        "seed": seed,
-        "passed": all(c["passed"] for c in checks),
-        "checks": checks,
-    }
+    return checks
 
 
-def sqrt23_suite(seed: int = 7) -> dict:
+def sqrt23_suite(seed: int = 7) -> list[dict]:
     """Growth-exponent floor for the three-harmonic sqrt(2)/sqrt(3) signal."""
     f = preset("sqrt23")
     checks = [_metric_identity_check(f, seed, count=500)]
     curve = length_curve(f, SQRT23_EPS_LADDER)
     checks.append(_growth_floor_check(curve, SLOPE_FLOOR_SQRT23))
-    return {
-        "suite": "sqrt23",
-        "seed": seed,
-        "passed": all(c["passed"] for c in checks),
-        "checks": checks,
-    }
+    return checks
 
 
-SUITES: dict[str, Callable[[int], dict]] = {
+SUITES: dict[str, Callable[[int], list[dict]]] = {
     "golden": golden_suite,
     "sqrt23": sqrt23_suite,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, seed: int = 7) -> dict:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return SUITES[name](seed)
+    checks = SUITES[name](seed)
+    return {"suite": name, "seed": seed, "passed": all(c["passed"] for c in checks), "checks": checks}

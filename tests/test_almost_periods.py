@@ -7,7 +7,6 @@ from qplab.almost_periods import (
     IntervalSet,
     LengthCurve,
     LengthSample,
-    WindowPolicy,
     fit_exponent,
     inclusion_length,
     length_curve,
@@ -238,7 +237,7 @@ def test_fit_exponent_skips_unresolved():
 
 
 def test_length_curve_window_policy(golden):
-    wide = length_curve(golden, [0.1], policy=WindowPolicy(initial_width=200.0))
+    wide = length_curve(golden, [0.1], initial_width=200.0)
     assert wide.samples[0].window_used == 200.0
 
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
@@ -65,6 +66,11 @@ def test_parse_constant():
     assert float(parse_constant("0.25")) == 0.25
     with pytest.raises(ConfigError):
         parse_constant("nope")
+    # integer literals are exact; decimals stay mpf
+    for token, value in (("5", 5), ("0", 0), ("-17", -17), ("+3", 3)):
+        assert parse_constant(token) == value
+        assert type(parse_constant(token)) is int
+    assert type(parse_constant("5.0")) is not int
 
 
 def test_config_file_round_trip(tmp_path):
@@ -196,6 +202,16 @@ def test_cf_rational_csv(tmp_path):
     assert lines[-1].endswith("649,200")
 
 
+@pytest.mark.parametrize("x", [5, 0, -17])
+def test_cf_integer_is_exact(x, tmp_path):
+    out = tmp_path / "cf.json"
+    assert run_cli(["cf", "--x", str(x), "--depth", "3", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert (payload["a0"], payload["quotients"], payload["exact"]) == (x, [], True)
+    assert payload["convergents"] == [[str(x), "1"]]
+    assert payload["error_bound"] == 0.0
+
+
 def test_badness_json(tmp_path):
     out = tmp_path / "badness.json"
     code = run_cli(["badness", "--alpha", "phi", "--qmax", "1000", "--out", str(out)])
@@ -299,12 +315,7 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
     import qplab.verify as verify_mod
 
     def failing_suite(seed):
-        return {
-            "suite": "golden",
-            "seed": seed,
-            "passed": False,
-            "checks": [{"name": "stub", "passed": False}],
-        }
+        return [{"name": "stub", "passed": False}]
 
     monkeypatch.setitem(verify_mod.SUITES, "golden", failing_suite)
     out = tmp_path / "r.json"
@@ -443,3 +454,18 @@ def test_length_curve_and_di_fit_share_samples(tmp_path):
         reports[command] = json.loads(out.read_text(encoding="utf-8"))
     assert reports["length-curve"]["samples"] == reports["di-fit"]["samples"]
     assert reports["length-curve"]["signal_id"] == reports["di-fit"]["signal_id"]
+
+
+def _readme_commands():
+    """The ``qplab ...`` lines of the code block under README's "Command line" heading."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("qplab ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) == 10
+    for line in commands:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        assert build_config(args).command == args.command

@@ -17,13 +17,11 @@ import pytest
 
 from qplab.almost_periods import length_curve
 from qplab.dimension import (
-    PointSample,
     TorusGridSample,
     _grid_greedy_cover,
     _grid_greedy_packing,
     _lag_margin,
     _points_greedy_cover,
-    _points_greedy_packing,
     orbit_segment_sample,
     torus_distance,
 )
@@ -196,21 +194,6 @@ def reference_points_cover(sample, radius):
         cursor = u
 
 
-def reference_points_packing(sample, separation):
-    columns = sample.points.T.copy()
-    blocked = np.zeros(sample.size, dtype=bool)
-    cursor = 0
-    count = 0
-    while True:
-        i = _next_unset(blocked, cursor)
-        if i < 0:
-            return count
-        count += 1
-        _mark_all_rows(blocked, columns, sample.weights, i, i, separation)
-        blocked[i] = True
-        cursor = i + 1
-
-
 # ---------------------------------------------------------------------------
 # torus-grid cases
 
@@ -342,14 +325,7 @@ def test_golden_suite_segment_counts(golden, segment_samples):
 
 def test_segment_covers_match_all_rows(segment_samples):
     for sample, r in segment_samples[4:]:
-        assert sample.lag_distance is not None
         assert _points_greedy_cover(sample, r) == reference_points_cover(sample, r)
-        assert _points_greedy_packing(sample, 2.0 * r) == reference_points_packing(sample, 2.0 * r)
-
-
-def test_segment_packing_matches_all_rows(segment_samples):
-    for sample, r in segment_samples[:3]:
-        assert _points_greedy_packing(sample, 2.0 * r) == reference_points_packing(sample, 2.0 * r)
 
 
 def test_segment_radius_on_a_lag_distance(golden):
@@ -359,15 +335,6 @@ def test_segment_radius_on_a_lag_distance(golden):
     for k in (5, 9, 14, 23):
         r = float(sample.lag_distance[k])
         assert _points_greedy_cover(sample, r) == reference_points_cover(sample, r)
-        assert _points_greedy_packing(sample, r) == reference_points_packing(sample, r)
-
-
-def test_point_cloud_without_lags_tests_every_row():
-    rng = np.random.default_rng(5)
-    cloud = PointSample(points=rng.uniform(0, TWO_PI, (400, 2)), weights=(1.0, 0.7))
-    for r in (0.3, 0.8):
-        assert _points_greedy_cover(cloud, r) == reference_points_cover(cloud, r)
-        assert _points_greedy_packing(cloud, 2 * r) == reference_points_packing(cloud, 2 * r)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from test_cover_differential import reference_grid_counts, reference_points_cover
 
 from qplab.dimension import (
     CoveringReport,
-    PointSample,
     TorusGridSample,
     covering_number,
     dimension_fit,
@@ -13,7 +14,6 @@ from qplab.dimension import (
     hull_dimension_report,
     segment_cover_checks,
     orbit_angles,
-    orbit_angles_many,
     orbit_segment_sample,
     torus_distance,
 )
@@ -51,11 +51,13 @@ def test_orbit_angles_golden_unit(golden):
     assert p[1] == pytest.approx(GOLDEN_ANGLE_S1, abs=1e-12)
 
 
-def test_orbit_angles_many_matches_scalar(golden):
-    s = np.array([0.5, 1.0, 13.25, -7.5])
-    rows = orbit_angles_many(golden, s)
-    for row, si in zip(rows, s):
-        scalar = orbit_angles(golden, float(si))
+def test_segment_rows_match_orbit_angles(golden):
+    # rows k of the segment on [-7.5, 13.25] are the translates at -7.5 + k h
+    sample = orbit_segment_sample(golden, -7.5, 13.25, 0.4)
+    h = 20.75 / (sample.size - 1)
+    for k in (0, 1, sample.size // 3, sample.size - 1):
+        row = sample.points[k]
+        scalar = orbit_angles(golden, -7.5 + k * h)
         for a, b in zip(row, scalar):
             d = abs(a - b) % (2 * math.pi)
             assert min(d, 2 * math.pi - d) < 1e-9
@@ -129,33 +131,32 @@ def test_equivalence_constants_validation(golden):
 
 
 def test_covering_single_point():
-    sample = PointSample(points=np.zeros((1, 1)))
-    assert covering_number(sample, 0.5) == (1, 1)
+    # one cell, radius large enough for the grid's density
+    assert covering_number(TorusGridSample(cells=(1,), weights=(0.01,)), 0.5) == (1, 1)
 
 
 def test_covering_circle_arc_metric():
-    m = 64
-    pts = (np.arange(m) * (2 * math.pi / m)).reshape(-1, 1)
-    sample = PointSample(points=pts, density_radius=math.pi / m)
-    cover, packing = covering_number(sample, math.pi / 4)
+    cover, packing = covering_number(TorusGridSample(cells=(64,)), math.pi / 4)
     assert 4 <= cover <= 5
     assert packing == 4
 
 
 def test_covering_circle_grid_matches_point_cloud():
+    # the per-ball reference greedy walks the grid's cells as an explicit array
     grid = TorusGridSample(cells=(64,), weights=None)
-    pts = (np.arange(64) * (2 * math.pi / 64)).reshape(-1, 1)
-    cloud = PointSample(points=pts, weights=None)
     for eps in (math.pi / 4, math.pi / 3, 1.0):
-        assert covering_number(grid, eps) == covering_number(cloud, eps)
+        assert covering_number(grid, eps) == reference_grid_counts(grid, eps)
 
 
 def test_covering_hull_grid_matches_point_cloud(single_term):
     grid = TorusGridSample(cells=(50,), weights=(1.0,))
+    # the cells as explicit angle rows; the all-rows reference tests every row
     pts = (np.arange(50) * (2 * math.pi / 50)).reshape(-1, 1)
-    cloud = PointSample(points=pts, weights=tuple(single_term.amplitude_moduli))
+    cloud = SimpleNamespace(points=pts, size=50, weights=tuple(single_term.amplitude_moduli))
     for eps in (0.5, 0.9):
-        assert covering_number(grid, eps) == covering_number(cloud, eps)
+        counts = covering_number(grid, eps)
+        assert counts == reference_grid_counts(grid, eps)
+        assert counts[0] == reference_points_cover(cloud, eps)
 
 
 def test_covering_torus_sup():
@@ -166,13 +167,8 @@ def test_covering_torus_sup():
 
 
 def test_covering_grid_too_coarse():
-    sample = PointSample(
-        points=(np.arange(8) * (2 * math.pi / 8)).reshape(-1, 1),
-        weights=None,
-        density_radius=math.pi / 8,
-    )
     with pytest.raises(GridTooCoarse):
-        covering_number(sample, 0.5)  # needs density <= 0.125
+        covering_number(TorusGridSample(cells=(8,)), 0.5)  # density pi/8; needs <= 0.125
 
 
 def test_covering_budget(golden):
@@ -241,7 +237,9 @@ def test_covering_report_validation():
 def test_orbit_segment_sample_density(golden):
     sample = orbit_segment_sample(golden, -5.0, 5.0, 0.4)
     assert sample.points.shape[1] == 2
-    assert sample.density_radius <= 0.4 / 4 + 1e-12
+    # consecutive rows are within r/4 of each other in the chord metric
+    steps = torus_distance(sample.points[1:], sample.points[:-1], sample.weights)
+    assert steps.max() <= 0.4 / 4 + 1e-12
     with pytest.raises(BudgetExceeded):
         # more than 2**24 points; raised before any row is allocated
         orbit_segment_sample(golden, -1e5, 1e5, 0.4)
