@@ -127,7 +127,7 @@ def parse_constant_list(text: str) -> list:
 
 
 def parse_eps_spec(text: str) -> list[float]:
-    """Either a comma list of decreasing eps values or ``start:count:factor``."""
+    """Either a comma list of strictly decreasing eps values or ``start:count:factor``."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -147,6 +147,8 @@ def parse_eps_spec(text: str) -> list[float]:
             raise ConfigError(f"bad eps list {text!r}") from exc
         if not values:
             raise ConfigError("empty eps list")
+        if any(b >= a for a, b in zip(values, values[1:])):
+            raise ConfigError(f"eps list must be strictly decreasing, got {text!r}")
     if not all(0 < e < math.inf for e in values):
         raise ConfigError(f"eps values must be finite and positive, got {text!r}")
     return values

@@ -124,26 +124,6 @@ def equivalence_constants(
 
 
 @dataclass(frozen=True)
-class PointSample:
-    """Orbit-segment rows in sample order; ``weights`` selects the metric as in
-    torus_distance.
-
-    Row k is the translate at s_lo + k h, ``lag_distance[k]`` is D(k h), and
-    ``lag_margin`` bounds |distance(row i, row i + k) - D(k h)|; the greedy
-    cover then tests only the rows at lags where D can fall below the radius.
-    """
-
-    points: np.ndarray
-    weights: tuple[float, ...]
-    lag_distance: np.ndarray
-    lag_margin: float
-
-    @property
-    def size(self) -> int:
-        return int(self.points.shape[0])
-
-
-@dataclass(frozen=True)
 class TorusGridSample:
     """Uniform lexicographic grid on the n-torus.
 
@@ -341,14 +321,16 @@ def _grid_greedy_packing(sample: TorusGridSample, separation: float) -> int:
     return _grid_greedy(sample, separation, [0] * len(sample.cells))
 
 
-def _points_greedy_cover(sample: PointSample, radius: float) -> int:
-    points = sample.points
+def _points_greedy_cover(sample: np.ndarray, radius: float) -> int:
+    """Greedy open-ball cover of an orbit segment given by its lag distances.
+
+    Translates i and j of the segment are sample[|i - j|] apart, so the ball at
+    translate c holds exactly the translates c + k with sample[|k|] < radius.
+    """
     n = sample.size
-    # row distances differ from the lag distance by at most lag_margin, so no row
-    # at a lag with D(k h) >= radius + margin is within radius: lags are the sorted
-    # offsets, of both signs, at which a row can lie within radius of a center
-    # row, and stop is the first positive offset at which none can
-    near = sample.lag_distance < radius + sample.lag_margin
+    # lags are the sorted offsets, of both signs, within radius of a center, and
+    # stop is the first positive offset out of reach
+    near = sample < radius
     k = np.flatnonzero(near)
     lags = np.concatenate((-k[:0:-1], k))
     stop = int(np.argmin(near)) or n  # near[0]: D(0) = 0
@@ -356,20 +338,10 @@ def _points_greedy_cover(sample: PointSample, radius: float) -> int:
     count = 0
     u = _next_unset(covered, 0)
     while u >= 0:
-        # slide the ball forward: last consecutive index still within radius of u;
-        # the row at lag stop from u is out of reach
-        end = min(n, u + stop + 1)
-        c = end - 1
-        for j in range(u + 1, end, 512):
-            block = torus_distance(points[j : min(j + 512, end)], points[u], sample.weights)
-            beyond = np.flatnonzero(block >= radius)
-            if beyond.size:
-                c = j + int(beyond[0]) - 1
-                break
+        # slide the ball forward to the last translate that still holds u
+        c = min(n, u + stop) - 1
         count += 1
-        # mark the rows within radius of row c, testing only the rows at candidate lags
-        rows = c + lags[np.searchsorted(lags, -c) : np.searchsorted(lags, n - c)]
-        covered[rows[torus_distance(points[rows], points[c], sample.weights) < radius]] = True
+        covered[c + lags[np.searchsorted(lags, -c) : np.searchsorted(lags, n - c)]] = True
         u = _next_unset(covered, u + 1)
     return count
 
@@ -438,56 +410,15 @@ def hull_dimension_report(f: QuasiperiodicSignal, eps_list: Sequence[float]) -> 
 # orbit-segment covering checks
 
 
-def _lag_margin(f: QuasiperiodicSignal, s_lo: float, h: float, npts: int) -> float:
-    """Bound on |chord(row k, row c) - D((k - c) h)| over the rows of an orbit segment sample.
-
-    Row k folds fl(lambda_j s_k) with np.mod, where s_k = fl(s_lo + fl(k h)).
-    In real arithmetic the chord distance of rows k and c is D((k - c) h)
-    exactly (metric identity). In floating point, with unit roundoff u, the
-    full angle of term j differs between the two sides by at most
-      2 u (span + M) |lambda_j|  the rounding of s_k and s_c (|s_k| <= M),
-      2 u M |lambda_j|           the products lambda_j s_k and lambda_j s_c,
-      2 u span |lambda_j|        fl(m h) and the product in D's argument,
-      2 ((|lambda_j| M / 2pi + 1) slip + half-ulp(2pi))
-                                 the folds: np.mod subtracts whole multiples
-                                 of the float 2pi, slip short of 2pi, and
-                                 rounds when it adds 2pi to a negative remainder,
-      half-ulp(2pi)              the difference of the folded angles,
-    and 2 w |sin(x/2)| moves by at most w per unit of x. Each side also rounds
-    one sin (allowed 4 ulp) and one product (u) per term, times 2 w_j, and
-    n - 1 additions of at most u W each (W = sum 2 w_j). Second-order terms
-    are dropped and the sum is multiplied by 2**10, which keeps the bound safe
-    if a step was miscounted; a row that close to the radius is only tested
-    exactly, never misjudged.
-    """
-    u = 2.0**-53
-    half_ulp_2pi = 2.0**-51  # half an ulp of a float in [4, 8)
-    sin_err = 2.0**-50  # 4 ulp of a float in [0.5, 1)
-    slip = 2.5e-16  # 2*pi - TWO_PI = 2.449e-16, rounded up
-    span = (npts - 1) * h
-    M = max(abs(s_lo), abs(s_lo + span))
-    weights = [float(w) for w in f.amplitude_moduli]
-    bound = 2.0 * (len(weights) - 1) * u * 2.0 * sum(weights)
-    for lam, w in zip(f.exponents_float, weights):
-        lam = abs(float(lam))
-        angle = (
-            4.0 * u * lam * (span + M)  # the first three terms
-            + 2.0 * ((lam * M / TWO_PI + 1.0) * slip + half_ulp_2pi)
-            + half_ulp_2pi
-        )
-        bound += w * angle + 4.0 * w * (sin_err + u)
-    return 2.0**10 * bound
-
-
 def orbit_segment_sample(
     f: QuasiperiodicSignal, s_lo: float, s_hi: float, radius: float
-) -> PointSample:
-    """Dense sample of translate coordinates for s in [s_lo, s_hi].
+) -> np.ndarray:
+    """Lag distances D(k h), k = 0..npts-1, of a dense orbit segment on [s_lo, s_hi].
 
-    The s-step is radius/(SAFETY*C), so consecutive samples are within
-    radius/SAFETY of each other in the chord metric. The rows lie on the
-    arithmetic grid s_lo + k h, so the sample carries D(k h) as its lag
-    distances.
+    The segment is the translates at s_lo + k h. The s-step h is at most
+    radius/(SAFETY*C), so consecutive translates are within radius/SAFETY of
+    each other in the chord metric. By the metric identity, translates i and j
+    are D(|i - j| h) apart, so these distances are the whole sample.
     """
     C = lipschitz_constant(f)
     step = radius / (SAFETY * C)
@@ -495,13 +426,7 @@ def orbit_segment_sample(
     if npts > MAX_SEGMENT_POINTS:
         raise BudgetExceeded(f"segment sample needs {npts} points, cap is {MAX_SEGMENT_POINTS}")
     h = (s_hi - s_lo) / max(1, npts - 1)
-    lags = np.arange(npts, dtype=np.float64) * h
-    return PointSample(
-        points=np.mod(np.outer(s_lo + lags, f.exponents_float), TWO_PI),
-        weights=tuple(float(w) for w in f.amplitude_moduli),
-        lag_distance=translation_distance_many(f, lags),
-        lag_margin=_lag_margin(f, s_lo, h, npts),
-    )
+    return translation_distance_many(f, np.arange(npts, dtype=np.float64) * h)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,8 @@ def test_parse_eps_list():
 
 
 def test_parse_eps_errors():
-    for bad in ("", "0:3:2", "0.4:0:2", "0.4:3:1", "a,b", "inf", "0.4,nan", "nan:2:2", "0.4:2:inf"):
+    for bad in ("", "0:3:2", "0.4:0:2", "0.4:3:1", "a,b", "inf", "0.4,nan", "nan:2:2", "0.4:2:inf",
+                "0.1,0.2", "0.2,0.2", "0.4,0.1,0.2"):
         with pytest.raises(ConfigError):
             parse_eps_spec(bad)
 
@@ -252,6 +253,17 @@ def test_dimension_json(tmp_path):
     assert payload["lower_dim"] == pytest.approx(1.0, abs=0.15)
     assert payload["upper_dim"] == pytest.approx(1.0, abs=0.15)
     assert 0 < payload["c1_est"] <= payload["c2_est"]
+
+
+def test_dimension_unordered_eps_is_a_usage_error(monkeypatch, capsys):
+    import qplab.cli as cli_mod
+
+    def no_cover(f, eps_list):
+        raise AssertionError("no cover may be computed")
+
+    monkeypatch.setattr(cli_mod, "hull_dimension_report", no_cover)
+    assert run_cli(["dimension", "--signal", "golden", "--eps", "0.001,0.5"]) == 1
+    assert "strictly decreasing" in capsys.readouterr().err
 
 
 def test_dimension_csv(tmp_path):

@@ -1,16 +1,18 @@
 """Differential gate for the greedy covers of qplab.dimension.
 
 The torus-grid greedy works one line of the last axis at a time and marks a
-line's balls in one scatter; the orbit-segment greedy tests only the rows at
-lags where D(k h) can fall below the radius. Both must give exactly the counts
+line's balls in one scatter; the orbit-segment greedy marks each ball's lag
+offsets, the k with D(k h) below the radius. Both must give exactly the counts
 of the per-ball references kept here: the grid greedy that finds each first
 unset cell and marks one ball at a time (``_grid_mark``, ``_next_unset``, and
 ``_grid_mark_slow`` from full per-axis distances when a ball wraps onto itself
 along some axis, which the line-by-line scatter handles like any other ball),
-and the segment greedy that tests every row.
+and two segment greedies that test every row: one on float angle rows of the
+translates (``reference_points_cover``), one at the lag distances.
 """
 import math
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from qplab.dimension import (
     TorusGridSample,
     _grid_greedy_cover,
     _grid_greedy_packing,
-    _lag_margin,
     _points_greedy_cover,
     orbit_segment_sample,
     torus_distance,
@@ -194,6 +195,29 @@ def reference_points_cover(sample, radius):
         cursor = u
 
 
+def segment_rows(f, s_lo, s_hi, npts):
+    """The float angle rows of the translates at s_lo + k h, k < npts, for reference_points_cover."""
+    h = (s_hi - s_lo) / max(1, npts - 1)
+    points = np.mod(np.outer(s_lo + np.arange(npts, dtype=np.float64) * h, f.exponents_float), TWO_PI)
+    return SimpleNamespace(points=points, size=npts, weights=tuple(float(w) for w in f.amplitude_moduli))
+
+
+def reference_lag_cover(sample, radius):
+    """The segment greedy testing every unmarked row i at its lag distance sample[|i - c|]."""
+    n = sample.size
+    covered = np.zeros(n, dtype=bool)
+    count = 0
+    while True:
+        u = _next_unset(covered, 0)
+        if u < 0:
+            return count
+        beyond = np.flatnonzero(sample[1 : n - u] >= radius)
+        c = u + int(beyond[0]) if beyond.size else n - 1
+        count += 1
+        rest = np.flatnonzero(~covered)
+        covered[rest[sample[np.abs(rest - c)] < radius]] = True
+
+
 # ---------------------------------------------------------------------------
 # torus-grid cases
 
@@ -297,15 +321,18 @@ def _random_signal(seed: int) -> QuasiperiodicSignal:
 
 
 def _segment_samples(golden, sqrt23):
-    samples = [(orbit_segment_sample(golden, -L, L, r), r) for r, L in dict.fromkeys(_golden_segments(golden))]
-    for r, L in ((0.8, 12.0), (0.4, 8.0), (0.2, 4.0)):
-        samples.append((orbit_segment_sample(sqrt23, -L, L, r), r))
+    """(lag sample, float rows, radius) of the golden suite, sqrt23 and seeded random segments."""
+    cases = [(golden, -L, L, r) for r, L in dict.fromkeys(_golden_segments(golden))]
+    cases += [(sqrt23, -L, L, r) for r, L in ((0.8, 12.0), (0.4, 8.0), (0.2, 4.0))]
     for seed in range(8):
         f = _random_signal(seed)
-        r = 0.15 * float(np.sum(f.amplitude_moduli))
         lo = (-1.0) ** seed * 37.5 * seed
-        samples.append((orbit_segment_sample(f, lo, lo + 12.0 + 3.0 * seed, r), r))
-    return samples
+        cases.append((f, lo, lo + 12.0 + 3.0 * seed, 0.15 * float(np.sum(f.amplitude_moduli))))
+    out = []
+    for f, s_lo, s_hi, r in cases:
+        sample = orbit_segment_sample(f, s_lo, s_hi, r)
+        out.append((sample, segment_rows(f, s_lo, s_hi, sample.size), r))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -317,46 +344,25 @@ def test_golden_suite_segment_counts(golden, segment_samples):
     calls = _golden_segments(golden)
     assert len(calls) == 6 and len(set(calls)) == 4  # two calls repeat a sample
     counts = {}
-    for sample, r in segment_samples[:4]:
+    for sample, rows, r in segment_samples[:4]:
         counts[r] = _points_greedy_cover(sample, r)
-        assert counts[r] == reference_points_cover(sample, r)
+        assert counts[r] == reference_points_cover(rows, r)
     assert [counts[r] for r, _ in calls] == [74, 327, 1063, 327, 1063, 5556]
 
 
 def test_segment_covers_match_all_rows(segment_samples):
-    for sample, r in segment_samples[4:]:
-        assert _points_greedy_cover(sample, r) == reference_points_cover(sample, r)
+    for sample, rows, r in segment_samples[4:]:
+        assert _points_greedy_cover(sample, r) == reference_points_cover(rows, r)
+
+
+def test_segment_covers_match_all_lags(segment_samples):
+    for sample, _, r in segment_samples:
+        assert _points_greedy_cover(sample, r) == reference_lag_cover(sample, r)
 
 
 def test_segment_radius_on_a_lag_distance(golden):
-    # with the radius equal to D(k h), rows at lag k sit within rounding of it
-    # and only the exact row distance decides them
+    # with the radius equal to D(k h), every pair at lag k lies outside the open ball
     sample = orbit_segment_sample(golden, -8.0, 8.0, 0.4)
     for k in (5, 9, 14, 23):
-        r = float(sample.lag_distance[k])
-        assert _points_greedy_cover(sample, r) == reference_points_cover(sample, r)
-
-
-# ---------------------------------------------------------------------------
-# the lag margin certificate
-
-
-def test_lag_margin_bounds_measured_gap(segment_samples):
-    for sample, _ in segment_samples:
-        n = sample.size
-        gap = 0.0
-        for c in np.linspace(0, n - 1, 7).astype(int):
-            lag = np.abs(np.arange(n) - c)
-            row = torus_distance(sample.points, sample.points[c], sample.weights)
-            gap = max(gap, float(np.max(np.abs(row - sample.lag_distance[lag]))))
-        assert gap <= sample.lag_margin / 100.0
-
-
-def test_lag_margin_grows_with_angle(golden):
-    h = 1e-3
-    near = _lag_margin(golden, -10.0, h, 20001)
-    far = _lag_margin(golden, 1e4, h, 20001)
-    wide = _lag_margin(golden, -10.0, 10 * h, 20001)
-    assert near < wide < far
-    fast = QuasiperiodicSignal([(1, 2 * math.pi * 100), (1, 2 * math.pi * 161.8)])
-    assert _lag_margin(fast, -10.0, h, 20001) > near
+        r = float(sample[k])
+        assert _points_greedy_cover(sample, r) == reference_lag_cover(sample, r)

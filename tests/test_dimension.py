@@ -52,15 +52,15 @@ def test_orbit_angles_golden_unit(golden):
 
 
 def test_segment_rows_match_orbit_angles(golden):
-    # rows k of the segment on [-7.5, 13.25] are the translates at -7.5 + k h
+    # translates of the segment on [-7.5, 13.25] sit at -7.5 + k h; by the metric
+    # identity, sample[k] is the chord distance of the rows at -7.5 + k h and -7.5
     sample = orbit_segment_sample(golden, -7.5, 13.25, 0.4)
     h = 20.75 / (sample.size - 1)
+    first = orbit_angles(golden, -7.5)
     for k in (0, 1, sample.size // 3, sample.size - 1):
-        row = sample.points[k]
-        scalar = orbit_angles(golden, -7.5 + k * h)
-        for a, b in zip(row, scalar):
-            d = abs(a - b) % (2 * math.pi)
-            assert min(d, 2 * math.pi - d) < 1e-9
+        row = orbit_angles(golden, -7.5 + k * h)
+        chord = torus_distance(row, first, golden.amplitude_moduli)
+        assert abs(sample[k] - chord) < 1e-9
 
 
 def test_torus_metric_examples():
@@ -236,12 +236,10 @@ def test_covering_report_validation():
 
 def test_orbit_segment_sample_density(golden):
     sample = orbit_segment_sample(golden, -5.0, 5.0, 0.4)
-    assert sample.points.shape[1] == 2
-    # consecutive rows are within r/4 of each other in the chord metric
-    steps = torus_distance(sample.points[1:], sample.points[:-1], sample.weights)
-    assert steps.max() <= 0.4 / 4 + 1e-12
+    # consecutive translates are within r/4 of each other in the chord metric
+    assert sample[1] <= 0.4 / 4 + 1e-12
     with pytest.raises(BudgetExceeded):
-        # more than 2**24 points; raised before any row is allocated
+        # more than 2**24 points; raised before any distance is computed
         orbit_segment_sample(golden, -1e5, 1e5, 0.4)
 
 
