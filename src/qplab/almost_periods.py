@@ -272,12 +272,8 @@ def length_curve(
                 break
             L_lower, L_upper = inclusion_length(scan)
             sample = LengthSample(eps, L_lower, L_upper, width, True)
-            whole_window = (
-                len(scan.outer) == 1
-                and scan.outer[0][0] <= scan.window[0]
-                and scan.outer[0][1] >= scan.window[1]
-            )
-            if len(scan.outer) >= min_hits or whole_window:
+            # outer intervals are clipped to the window, so one equal to it covers it
+            if len(scan.outer) >= min_hits or scan.outer == (scan.window,):
                 break
             width *= 2.0
         if sample is None:

@@ -89,6 +89,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.tmax is not None and self.tmax <= 0:
             raise ConfigError("tmax must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
             if kind is float and value is not None and not math.isfinite(value):

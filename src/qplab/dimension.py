@@ -18,7 +18,6 @@ import math
 import mmap
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -87,25 +86,10 @@ def equivalence_constants(
         raise ValueError("sample_count must be at least 100")
     rng = np.random.default_rng(seed)
     n = f.n
-    ratios_min = math.inf
-    ratios_max = 0.0
-
-    def absorb(x: np.ndarray, y: np.ndarray):
-        nonlocal ratios_min, ratios_max
-        torus = torus_distance(x, y)
-        keep = torus > 1e-12
-        if not np.any(keep):
-            return
-        hull = torus_distance(x, y, f.amplitude_moduli)
-        ratio = hull[keep] / torus[keep]
-        ratios_min = min(ratios_min, float(ratio.min()))
-        ratios_max = max(ratios_max, float(ratio.max()))
-
+    xs, ys = [np.empty((0, n))], [np.empty((0, n))]  # an empty draw concatenates too
     if include_uniform:
-        absorb(
-            rng.uniform(0.0, TWO_PI, (sample_count, n)),
-            rng.uniform(0.0, TWO_PI, (sample_count, n)),
-        )
+        xs.append(rng.uniform(0.0, TWO_PI, (sample_count, n)))
+        ys.append(rng.uniform(0.0, TWO_PI, (sample_count, n)))
     per_scale = max(100, sample_count // max(1, len(near_diagonal_scales)))
     for k in near_diagonal_scales:
         x = rng.uniform(0.0, TWO_PI, (per_scale, n))
@@ -113,10 +97,15 @@ def equivalence_constants(
         norms = np.abs(u).max(axis=1)
         norms[norms == 0] = 1.0
         u /= norms[:, None]
-        absorb(x, x + u * 2.0**-k)
-    if not math.isfinite(ratios_min):
+        xs.append(x)
+        ys.append(x + u * 2.0**-k)
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    torus = torus_distance(x, y)
+    keep = torus > 1e-12
+    if not np.any(keep):
         raise ValueError("no usable pair sampled")
-    return ratios_min, ratios_max
+    ratio = torus_distance(x[keep], y[keep], f.amplitude_moduli) / torus[keep]
+    return float(ratio.min()), float(ratio.max())
 
 
 # ---------------------------------------------------------------------------
@@ -144,35 +133,6 @@ class TorusGridSample:
     def size(self) -> int:
         return int(np.prod([int(m) for m in self.cells], dtype=np.int64))
 
-    @property
-    def combine(self):
-        """How per-axis contributions join: max for the sup metric, sum for the chord metric."""
-        return np.maximum if self.weights is None else np.add
-
-    def metric_part(self, axis: int, angle):
-        """Contribution of an angular offset along one axis: the angle (sup) or 2 w |sin(angle/2)|."""
-        if self.weights is None:
-            return angle
-        return 2.0 * self.weights[axis] * np.abs(np.sin(0.5 * angle))
-
-    @property
-    def density_radius(self) -> float:
-        # farthest any torus point can be from a grid point: half-cell offsets
-        return float(reduce(self.combine, [
-            self.metric_part(axis, math.pi / m) for axis, m in enumerate(self.cells)
-        ]))
-
-    def axis_profile(self, axis: int) -> np.ndarray:
-        """Contribution of a pure offset o along one axis, o = 0..m//2."""
-        m = self.cells[axis]
-        return self.metric_part(axis, TWO_PI * np.arange(m // 2 + 1, dtype=np.float64) / m)
-
-    def reach(self, axis: int, radius: float) -> int:
-        """Largest offset along the axis with contribution strictly below radius."""
-        profile = self.axis_profile(axis)
-        below = np.flatnonzero(profile < radius)
-        return int(below[-1]) if below.size else 0
-
     @classmethod
     def hull_grid(cls, f: QuasiperiodicSignal, eps: float) -> "TorusGridSample":
         weights = tuple(float(w) for w in f.amplitude_moduli)
@@ -196,23 +156,26 @@ def _next_unset(flat: np.ndarray, start: int, block: int = 512) -> int:
     return -1
 
 
-def _offsets_metric(sample: TorusGridSample, offsets: Sequence[np.ndarray]) -> np.ndarray:
-    """Metric of every combination of per-axis cell offsets (entries <= m//2), axis k on dimension k."""
-    n = len(offsets)
-    parts = [
-        sample.axis_profile(axis)[o].reshape([-1 if k == axis else 1 for k in range(n)])
-        for axis, o in enumerate(offsets)
-    ]
-    return reduce(sample.combine, parts)
+def _offsets_metric(sample: TorusGridSample, offsets: Sequence[Sequence[float]]) -> np.ndarray:
+    """Metric of every combination of per-axis cell offsets (|o| <= m//2), axis k on dimension k."""
+    angles = [TWO_PI * np.abs(np.asarray(o, dtype=np.float64)) / m for o, m in zip(offsets, sample.cells)]
+    points = np.stack(np.meshgrid(*angles, indexing="ij"), axis=-1)
+    return torus_distance(points, np.zeros(len(angles)), sample.weights)
+
+
+def _reach(sample: TorusGridSample, axis: int, radius: float) -> int:
+    """Largest offset along the axis, others 0, with metric strictly below radius."""
+    offsets = [[0]] * len(sample.cells)
+    offsets[axis] = np.arange(sample.cells[axis] // 2 + 1)
+    below = np.flatnonzero(_offsets_metric(sample, offsets) < radius)
+    return int(below[-1]) if below.size else 0
 
 
 def _cover_advances(sample: TorusGridSample, radius: float) -> list[int]:
     """Per-axis center offset keeping the first uncovered cell inside the ball."""
     n_axes = len(sample.cells)
-    if sample.weights is None:
-        advances = [sample.reach(axis, radius) for axis in range(n_axes)]
-    else:
-        advances = [sample.reach(axis, radius / n_axes) for axis in range(n_axes)]
+    per_axis = radius if sample.weights is None else radius / n_axes
+    advances = [_reach(sample, axis, per_axis) for axis in range(n_axes)]
     while (
         _offsets_metric(sample, [[a] for a in advances]).item() >= radius
         and any(a > 0 for a in advances)
@@ -236,12 +199,12 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
     offset +-m/2 twice, and marking a cell twice does nothing.
     """
     cells = sample.cells
-    reaches = [sample.reach(axis, radius) for axis in range(len(cells))]
+    reaches = [_reach(sample, axis, radius) for axis in range(len(cells))]
     # the flags get an anonymous mapping of their own, so their pages go back to
     # the system on return; tens of MB freed to the heap would stay resident
     covered = np.frombuffer(mmap.mmap(-1, sample.size), dtype=bool)
     # stencil over the reach box: offsets with metric < radius (the whole box for sup)
-    mask = _offsets_metric(sample, [np.abs(np.arange(-r, r + 1)) for r in reaches]) < radius
+    mask = _offsets_metric(sample, [np.arange(-r, r + 1) for r in reaches]) < radius
     n = len(cells)
     m, a, r = cells[-1], advances[-1], reaches[-1]
     # the stencil row through the first unset cell; symmetric and contiguous
@@ -356,7 +319,8 @@ def covering_number(sample: TorusGridSample, eps: float) -> tuple[int, int]:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    density = sample.density_radius
+    # farthest any torus point can be from a grid point: half-cell offsets
+    density = _offsets_metric(sample, [[0.5]] * len(sample.cells)).item()
     if density > eps / 4.0 + 1e-12:
         raise GridTooCoarse(
             f"sample density radius {density:g} exceeds eps/4 = {eps / 4.0:g}"
@@ -402,7 +366,9 @@ def dimension_fit(report: CoveringReport) -> tuple[float, float]:
 
 def hull_dimension_report(f: QuasiperiodicSignal, eps_list: Sequence[float]) -> CoveringReport:
     """Covering/packing counts of the full torus under the chord metric."""
-    counts = [covering_number(TorusGridSample.hull_grid(f, eps), eps) for eps in eps_list]
+    # every grid first, so a scale over the cell budget fails before any cover
+    grids = [TorusGridSample.hull_grid(f, eps) for eps in eps_list]
+    counts = [covering_number(grid, eps) for grid, eps in zip(grids, eps_list)]
     return CoveringReport(eps_grid=tuple(eps_list), counts=tuple(counts))
 
 

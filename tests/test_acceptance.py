@@ -17,23 +17,17 @@ import pytest
 
 from qplab.almost_periods import fit_exponent, length_curve
 from qplab.cli import main as cli_main
-from qplab.dimension import (
-    dimension_fit,
-    equivalence_constants,
-    hull_dimension_report,
-    segment_cover_checks,
-    orbit_angles,
-    torus_distance,
-)
-from qplab.diophantine import (
-    badness_score,
-    best_simultaneous_denominator,
-    cf_expand,
-    kronecker_residuals,
-    kronecker_solve,
-)
-from qplab.precision import golden_ratio, sqrt2, two_pi
+from qplab.dimension import dimension_fit, equivalence_constants, hull_dimension_report
+from qplab.diophantine import badness_score
+from qplab.precision import golden_ratio, sqrt2
 from qplab.signal import QuasiperiodicSignal, preset, sup_oracle, translation_distance
+from qplab.verify import (
+    _aligned_denominator_check,
+    _metric_identity_check,
+    _phase_alignment_check,
+    _quotients_check,
+    _segment_cover_check,
+)
 
 
 def conclude(criterion: str, passed: bool, detail: str):
@@ -76,13 +70,7 @@ def test_criterion_1_closed_form_vs_oracle(golden):
 
 
 def test_criterion_2_metric_identity_and_equivalence(golden):
-    rng = np.random.default_rng(11)
-    zero = np.zeros(2)
-    worst = 0.0
-    for tau in rng.uniform(-100.0, 100.0, 10**4):
-        d = translation_distance(golden, float(tau))
-        h = torus_distance(orbit_angles(golden, float(tau)), zero, golden.amplitude_moduli)
-        worst = max(worst, abs(d - h))
+    worst = _metric_identity_check(golden, 11, count=10**4)["max_abs_error"]
     assert worst <= 1e-12
     c1, c2 = equivalence_constants(golden, 4000, seed=11)
     assert 0.0 < c1 <= c2
@@ -123,15 +111,19 @@ def test_criterion_4_sandwich_and_count_bound(golden, golden_ladder):
     lengths = {s.eps: s.L_upper for s in curve.samples}
     results = {}
     for eps in (0.4, 0.2):
-        rep = segment_cover_checks(golden, eps, lengths)
-        results[eps] = rep
-        assert rep.slack == 2.0
-        assert rep.sandwich_lower_ok, f"segment count at 2*eps exceeds slack at eps={eps}"
-        assert rep.sandwich_upper_ok, f"hull count exceeds slack at eps={eps}"
-        assert rep.count_bound_ok, f"count bound violated at eps={eps}"
+        r = _segment_cover_check(golden, eps, lengths)
+        results[eps] = r
+        assert r["slack"] == 2.0
+        assert r["segment_count_2eps"] <= 2.0 * r["hull_count_eps"], (
+            f"segment count at 2*eps exceeds slack at eps={eps}"
+        )
+        assert r["hull_count_eps"] <= 2.0 * r["segment_count_half_eps"], (
+            f"hull count exceeds slack at eps={eps}"
+        )
+        assert r["segment_count_eps"] <= 2.0 * r["count_bound"], f"count bound violated at eps={eps}"
     detail = "; ".join(
-        f"eps={e}: {r.segment_count_2eps} <= {r.hull_count_eps} <= {r.segment_count_half_eps}, "
-        f"count {r.segment_count_eps} <= bound {r.count_bound:.0f}"
+        f"eps={e}: {r['segment_count_2eps']} <= {r['hull_count_eps']} <= {r['segment_count_half_eps']}, "
+        f"count {r['segment_count_eps']} <= bound {r['count_bound']:.0f}"
         for e, r in results.items()
     )
     conclude("criterion 4 (cover sandwich + count bound)", True, detail)
@@ -178,10 +170,8 @@ def test_criterion_6_growth_floor_three_exponents():
 def test_criterion_7_diophantine_suite():
     t0 = time.monotonic()
     phi = golden_ratio()
-    cf_phi = cf_expand(phi, 30)
-    assert cf_phi.a0 == 1 and cf_phi.quotients == (1,) * 30
-    cf_s2 = cf_expand(sqrt2(), 30)
-    assert cf_s2.a0 == 1 and cf_s2.quotients == (2,) * 30
+    quotients = _quotients_check()
+    assert quotients["phi_quotients_all_one"] and quotients["sqrt2_quotients_all_two"]
     rep_phi = badness_score([phi], 10**5)
     assert abs(rep_phi.score - 0.38197) <= 1e-4
     assert rep_phi.argmin_q == 1
@@ -190,7 +180,7 @@ def test_criterion_7_diophantine_suite():
     rep_s2 = badness_score([sqrt2()], 10**5)
     assert abs(rep_s2.score - 0.3431) <= 1e-3
     assert rep_s2.argmin_q == 2
-    assert best_simultaneous_denominator([phi], 0.01, 10**3) == 55
+    assert _aligned_denominator_check()["q"] == 55
     elapsed = time.monotonic() - t0
     conclude(
         "criterion 7 (diophantine suite)",
@@ -202,16 +192,14 @@ def test_criterion_7_diophantine_suite():
 
 def test_criterion_8_kronecker():
     t0 = time.monotonic()
-    tp = float(two_pi())
-    lams = [tp, tp * float(golden_ratio())]
-    kaps = [0.0, math.pi]
-    t = kronecker_solve(lams, kaps, 0.3, 50.0)
-    assert t is not None
-    rechecked = kronecker_residuals(lams, kaps, t)
-    assert max(rechecked) < 0.3
-    res17 = kronecker_residuals(lams, kaps, 17.0)
-    assert max(res17) < 0.3  # t = 17 admissible
+    check = _phase_alignment_check()
     elapsed = time.monotonic() - t0
+    t = check["t"]
+    assert t is not None
+    rechecked = check["residuals"]
+    assert max(rechecked) < 0.3
+    res17 = check["residuals_at_17"]
+    assert max(res17) < 0.3  # t = 17 admissible
     conclude(
         "criterion 8 (phase alignment)",
         elapsed < 1.0,

@@ -183,6 +183,8 @@ def test_length_curve_eps_above_diameter(single_term):
     curve = length_curve(single_term, [10.0])
     assert curve.samples[0].L_upper == 0.0
     assert curve.samples[0].L_lower == 0.0
+    # one outer interval covering the window stops the doubling at the initial width 4/eps
+    assert curve.samples[0].window_used == 0.4
 
 
 def test_length_curve_golden_01(golden):

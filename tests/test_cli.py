@@ -20,8 +20,9 @@ from qplab.cli import (
     parse_window_spec,
     read_config_file,
 )
-from qplab.errors import ConfigError
+from qplab.errors import BudgetExceeded, ConfigError
 from qplab.precision import golden_ratio
+from qplab.signal import preset
 
 SINGLE = "1+0i@6.283185307179586"
 
@@ -264,6 +265,41 @@ def test_dimension_unordered_eps_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setattr(cli_mod, "hull_dimension_report", no_cover)
     assert run_cli(["dimension", "--signal", "golden", "--eps", "0.001,0.5"]) == 1
     assert "strictly decreasing" in capsys.readouterr().err
+
+
+def test_dimension_budget_checked_before_any_cover(monkeypatch, capsys):
+    import qplab.dimension as dimension_mod
+
+    def no_cover(sample, eps):
+        raise AssertionError("no cover may be computed")
+
+    monkeypatch.setattr(dimension_mod, "covering_number", no_cover)
+    # 0.5 and 0.25 fit the cell budget; 0.125 does not
+    with pytest.raises(BudgetExceeded):
+        dimension_mod.hull_dimension_report(preset("sqrt23"), [0.5, 0.25, 0.125, 0.0625])
+    assert run_cli(["dimension", "--signal", "sqrt23", "--eps", "0.5:4:2"]) == 2
+    assert capsys.readouterr().err == (
+        "budget exhausted: torus grid needs 220348864 cells, cap is 134217728\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["dimension", "di-fit", "verify"])
+def test_negative_seed_is_an_input_error(monkeypatch, capsys, tmp_path, command):
+    import qplab.cli as cli_mod
+
+    def no_work(config):
+        raise AssertionError("no work may be done")
+
+    monkeypatch.setitem(cli_mod._COMMAND_TABLE, command, (no_work,) + cli_mod._COMMAND_TABLE[command][1:])
+    argv = {"dimension": ["--signal", "golden", "--eps", "0.25:5:2"],
+            "di-fit": ["--signal", "golden", "--eps", "0.4:3:2"],
+            "verify": []}[command]
+    assert run_cli([command, *argv, "--seed", "-3"]) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -3\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -1\n", encoding="utf-8")
+    assert run_cli([command, *argv, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
 
 
 def test_dimension_csv(tmp_path):

@@ -8,7 +8,9 @@ unset cell and marks one ball at a time (``_grid_mark``, ``_next_unset``, and
 ``_grid_mark_slow`` from full per-axis distances when a ball wraps onto itself
 along some axis, which the line-by-line scatter handles like any other ball),
 and two segment greedies that test every row: one on float angle rows of the
-translates (``reference_points_cover``), one at the lag distances.
+translates (``reference_points_cover``), one at the lag distances. The grid's
+reach, stencil box and density radius, which qplab measures with
+torus_distance, must also equal the per-axis references here bit for bit.
 """
 import math
 from itertools import product
@@ -17,6 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from qplab import dimension
 from qplab.almost_periods import length_curve
 from qplab.dimension import (
     TorusGridSample,
@@ -36,12 +39,20 @@ TWO_PI = 2.0 * math.pi
 # reference: the per-ball greedy covers
 
 
+def _axis_part(sample, axis, o):
+    """Metric of offsets 0 <= o <= m/2 along one axis: the circle distance of the angle
+    (sup) or 2 w |sin(angle/2)| (chord)."""
+    m = sample.cells[axis]
+    if sample.weights is None:
+        # at o = m/2 the angle can round to one ulp above pi; the circle distance folds it back
+        a = TWO_PI * o / m
+        return np.minimum(a, TWO_PI - a)
+    return 2.0 * sample.weights[axis] * np.abs(np.sin(math.pi * o / m))
+
+
 def _axis_profile(sample, axis):
     m = sample.cells[axis]
-    o = np.arange(m // 2 + 1, dtype=np.float64)
-    if sample.weights is None:
-        return TWO_PI * o / m
-    return 2.0 * sample.weights[axis] * np.abs(np.sin(math.pi * o / m))
+    return _axis_part(sample, axis, np.arange(m // 2 + 1, dtype=np.float64))
 
 
 def _reach(sample, axis, radius):
@@ -52,6 +63,18 @@ def _reach(sample, axis, radius):
 def _offset_metric(sample, offsets):
     parts = [float(_axis_profile(sample, axis)[abs(o)]) for axis, o in enumerate(offsets)]
     return max(parts) if sample.weights is None else float(sum(parts))
+
+
+def _box_metric(sample, offsets):
+    """Metric of every combination of per-axis offsets, parts joined in axis order."""
+    parts = [
+        _axis_part(sample, axis, np.abs(np.asarray(o, dtype=np.float64)))
+        for axis, o in enumerate(offsets)
+    ]
+    total = parts[0]
+    for p in parts[1:]:
+        total = np.maximum(total[..., None], p) if sample.weights is None else total[..., None] + p
+    return total
 
 
 def _next_unset(flat, start, block=512):
@@ -88,11 +111,7 @@ def _grid_mark(covered, center, reaches, mask):
 def _grid_ball_mask(sample, reaches, radius):
     if sample.weights is None:
         return None
-    grids = [_axis_profile(sample, axis)[np.abs(np.arange(-r, r + 1))] for axis, r in enumerate(reaches)]
-    total = grids[0]
-    for g in grids[1:]:
-        total = total[..., None] + g
-    return total < radius
+    return _box_metric(sample, [np.arange(-r, r + 1) for r in reaches]) < radius
 
 
 def _grid_mark_slow(covered, sample, center, radius):
@@ -222,7 +241,21 @@ def reference_lag_cover(sample, radius):
 # torus-grid cases
 
 
-@pytest.mark.parametrize("eps", [0.25, 0.125, 0.0625, 0.03125])
+GOLDEN_GRID_EPS = [0.25, 0.125, 0.0625, 0.03125]
+SUP_GRIDS = [(1, 0.05), (1, 0.7), (2, 0.2), (2, 0.9), (3, 0.5)]
+NON_SQUARE_CELLS = [(50, 37), (37, 50), (7, 11, 13), (13, 7, 11)]
+NON_SQUARE_EPS = [0.15, 0.3, 0.6]
+
+
+def _sup_grid(n, eps):
+    return TorusGridSample(cells=(math.ceil(8 * math.pi / eps),) * n)
+
+
+def _non_square_grid(cells, chord):
+    return TorusGridSample(cells=cells, weights=(1.0, 0.6, 0.35)[: len(cells)] if chord else None)
+
+
+@pytest.mark.parametrize("eps", GOLDEN_GRID_EPS)
 def test_golden_hull_grid_matches_per_ball(golden, eps):
     grid = TorusGridSample.hull_grid(golden, eps)
     assert grid_counts(grid, eps) == reference_grid_counts(grid, eps)
@@ -233,18 +266,17 @@ def test_sqrt23_hull_grid_matches_per_ball(sqrt23):
     assert grid_counts(grid, 0.5) == reference_grid_counts(grid, 0.5)
 
 
-@pytest.mark.parametrize("n,eps", [(1, 0.05), (1, 0.7), (2, 0.2), (2, 0.9), (3, 0.5)])
+@pytest.mark.parametrize("n,eps", SUP_GRIDS)
 def test_sup_grid_matches_per_ball(n, eps):
-    grid = TorusGridSample(cells=(math.ceil(8 * math.pi / eps),) * n)
+    grid = _sup_grid(n, eps)
     assert grid_counts(grid, eps) == reference_grid_counts(grid, eps)
 
 
-@pytest.mark.parametrize("cells", [(50, 37), (37, 50), (7, 11, 13), (13, 7, 11)])
+@pytest.mark.parametrize("cells", NON_SQUARE_CELLS)
 @pytest.mark.parametrize("chord", [False, True])
-@pytest.mark.parametrize("eps", [0.15, 0.3, 0.6])
+@pytest.mark.parametrize("eps", NON_SQUARE_EPS)
 def test_non_square_grid_matches_per_ball(cells, chord, eps):
-    weights = (1.0, 0.6, 0.35)[: len(cells)] if chord else None
-    grid = TorusGridSample(cells=cells, weights=weights)
+    grid = _non_square_grid(cells, chord)
     assert grid_counts(grid, eps) == reference_grid_counts(grid, eps)
 
 
@@ -267,26 +299,25 @@ def _self_wrapping_grids(count):
     return out
 
 
-@pytest.mark.parametrize(
-    "cells,weights,eps",
-    [
-        ((6,), None, 1.7),
-        ((6,), (1.0,), 1.1),
-        ((4, 6), None, 1.7),
-        ((8, 3), (1.0, 0.5), 1.05),
-        ((8, 11, 13), (1.0, 0.6, 0.35), 1.1),
-        ((4, 40), (0.4, 1.0), 0.5),
-        *_self_wrapping_grids(60),
-    ],
-)
+SELF_WRAPPING_GRIDS = [
+    ((6,), None, 1.7),
+    ((6,), (1.0,), 1.1),
+    ((4, 6), None, 1.7),
+    ((8, 3), (1.0, 0.5), 1.05),
+    ((8, 11, 13), (1.0, 0.6, 0.35), 1.1),
+    ((4, 40), (0.4, 1.0), 0.5),
+    *_self_wrapping_grids(60),
+]
+
+
+@pytest.mark.parametrize("cells,weights,eps", SELF_WRAPPING_GRIDS)
 def test_self_wrapping_grid_matches_per_ball(cells, weights, eps):
     grid = TorusGridSample(cells=cells, weights=weights)
     assert _packing_wraps(grid, eps)
     assert grid_counts(grid, eps) == reference_grid_counts(grid, eps)
 
 
-@pytest.mark.parametrize("seed", range(16))
-def test_random_grid_matches_per_ball(seed):
+def _random_grid(seed):
     rng = np.random.default_rng(1000 + seed)
     n = 1 + seed % 3
     top = {1: 3000, 2: 160, 3: 40}[n]
@@ -294,8 +325,42 @@ def test_random_grid_matches_per_ball(seed):
     weights = None if seed % 5 == 4 else tuple(float(w) for w in rng.uniform(0.2, 2.0, n))
     total = n * math.pi if weights is None else 2.0 * sum(weights)
     eps = float(rng.uniform(0.02, 0.12)) * total
-    grid = TorusGridSample(cells=cells, weights=weights)
+    return TorusGridSample(cells=cells, weights=weights), eps
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_random_grid_matches_per_ball(seed):
+    grid, eps = _random_grid(seed)
     assert grid_counts(grid, eps) == reference_grid_counts(grid, eps)
+
+
+def _all_grids(golden, sqrt23):
+    """(grid, eps) of every torus-grid case above."""
+    grids = [(TorusGridSample.hull_grid(golden, eps), eps) for eps in GOLDEN_GRID_EPS]
+    grids.append((TorusGridSample.hull_grid(sqrt23, 0.5), 0.5))
+    grids += [(_sup_grid(n, eps), eps) for n, eps in SUP_GRIDS]
+    grids += [
+        (_non_square_grid(cells, chord), eps)
+        for cells in NON_SQUARE_CELLS for chord in (False, True) for eps in NON_SQUARE_EPS
+    ]
+    grids += [(TorusGridSample(cells=c, weights=w), eps) for c, w, eps in SELF_WRAPPING_GRIDS]
+    return grids + [_random_grid(seed) for seed in range(16)]
+
+
+def test_grid_metric_matches_references_bitwise(golden, sqrt23):
+    # the counts only see a metric change that moves a stencil cell across the
+    # radius; reach, stencil box and density radius must equal the references exactly
+    for grid, eps in _all_grids(golden, sqrt23):
+        n = len(grid.cells)
+        for radius in (eps, 2.0 * eps):
+            reaches = [_reach(grid, axis, radius) for axis in range(n)]
+            assert [dimension._reach(grid, axis, radius) for axis in range(n)] == reaches
+            box = [np.arange(-r, r + 1) for r in reaches]
+            assert np.array_equal(dimension._offsets_metric(grid, box), _box_metric(grid, box))
+            corner = [[r] for r in reaches]
+            assert dimension._offsets_metric(grid, corner).item() == _offset_metric(grid, reaches)
+        half = [[0.5]] * n
+        assert dimension._offsets_metric(grid, half).item() == _box_metric(grid, half).item()
 
 
 # ---------------------------------------------------------------------------

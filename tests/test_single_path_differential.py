@@ -1,9 +1,9 @@
 """Differential gate: each single implementation against the scalar loop it replaced.
 
-D, the signal value, the chord and sup metrics and the log-log slope each have
-one implementation in qplab. The scalar loops below are the implementations
-they replaced, kept as references. Where the arithmetic is the same, results
-must be equal bit for bit.
+D, the signal value, the chord and sup metrics, the log-log slope and the
+sampled equivalence constants each have one implementation in qplab. The
+loops below are the implementations they replaced, kept as references. Where
+the arithmetic is the same, results must be equal bit for bit.
 """
 import math
 
@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from qplab.almost_periods import loglog_fit
-from qplab.dimension import torus_distance
+from qplab.dimension import equivalence_constants, torus_distance
 from qplab.signal import (
     QuasiperiodicSignal,
     evaluate,
+    preset,
     translation_distance,
     translation_distance_many,
 )
@@ -49,6 +50,42 @@ def ref_torus_metric(x, y):
         d = abs(a - b) % TWO_PI
         best = max(best, min(d, TWO_PI - d))
     return best
+
+
+def ref_equivalence_constants(f, sample_count, seed, near_diagonal_scales, include_uniform):
+    """The per-group loop: each draw's ratios folded into a running min and max."""
+    rng = np.random.default_rng(seed)
+    n = f.n
+    ratios_min = math.inf
+    ratios_max = 0.0
+
+    def absorb(x, y):
+        nonlocal ratios_min, ratios_max
+        torus = torus_distance(x, y)
+        keep = torus > 1e-12
+        if not np.any(keep):
+            return
+        hull = torus_distance(x, y, f.amplitude_moduli)
+        ratio = hull[keep] / torus[keep]
+        ratios_min = min(ratios_min, float(ratio.min()))
+        ratios_max = max(ratios_max, float(ratio.max()))
+
+    if include_uniform:
+        absorb(
+            rng.uniform(0.0, TWO_PI, (sample_count, n)),
+            rng.uniform(0.0, TWO_PI, (sample_count, n)),
+        )
+    per_scale = max(100, sample_count // max(1, len(near_diagonal_scales)))
+    for k in near_diagonal_scales:
+        x = rng.uniform(0.0, TWO_PI, (per_scale, n))
+        u = rng.uniform(-1.0, 1.0, (per_scale, n))
+        norms = np.abs(u).max(axis=1)
+        norms[norms == 0] = 1.0
+        u /= norms[:, None]
+        absorb(x, x + u * 2.0**-k)
+    if not math.isfinite(ratios_min):
+        raise ValueError("no usable pair sampled")
+    return ratios_min, ratios_max
 
 
 def ref_loglog_slope(eps, counts):
@@ -122,3 +159,24 @@ GOLDEN_PACKINGS = (252, 1056, 4183, 16882, 67473, 270269)
 def test_loglog_fit_matches_old_slope(counts):
     slope, _, _ = loglog_fit(GOLDEN_EPS, counts)
     assert slope == ref_loglog_slope(GOLDEN_EPS, counts)
+
+
+EQUIVALENCE_SIGNALS = ["golden", "sqrt23", *[(seed, n) for seed in (5, 6) for n in (1, 2, 3)]]
+
+
+@pytest.mark.parametrize("which", EQUIVALENCE_SIGNALS)
+@pytest.mark.parametrize("include_uniform", [True, False])
+def test_equivalence_constants_match_per_group_loop(which, include_uniform):
+    f = preset(which) if isinstance(which, str) else seeded_signal(*which)[0]
+    for seed in (7, 11, 1234):
+        for scales in (tuple(range(5, 21)), (5, 10, 15, 20), (12,), (3, 30)):
+            for sample_count in (100, 4000):
+                args = (f, sample_count, seed, scales, include_uniform)
+                assert equivalence_constants(*args) == ref_equivalence_constants(*args)
+
+
+def test_equivalence_constants_without_usable_pair(golden):
+    for scales in ((), (45,), (45, 50)):
+        for fn in (equivalence_constants, ref_equivalence_constants):
+            with pytest.raises(ValueError, match="no usable pair sampled"):
+                fn(golden, 1000, 7, scales, False)

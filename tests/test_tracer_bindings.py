@@ -30,3 +30,14 @@ def test_segment_cover_counts_the_sample_size(golden):
     assert not tracer.missing
     [span] = [s for s in tracer.spans if s.name == tracing.SEGMENT_COVER]
     assert span.counts == {"points": sample.size, "balls": balls}
+
+
+def test_grid_cover_and_packing_count_the_grid_size(golden):
+    sample = dimension.TorusGridSample.hull_grid(golden, 0.25)
+    for name, radius in ((tracing.GRID_COVER, 0.25), (tracing.GRID_PACKING, 0.5)):
+        with tracing.Tracer() as tracer:
+            # looked up inside the block, where the tracer has patched the module
+            balls = getattr(dimension, name.rsplit(".", 1)[1])(sample, radius)
+        assert not tracer.missing
+        [span] = [s for s in tracer.spans if s.name == name]
+        assert span.counts == {"cells": sample.size, "balls": balls}
