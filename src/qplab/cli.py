@@ -119,9 +119,12 @@ def parse_constant(token: str):
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad rational {token!r}") from exc
     try:
-        return mp.mpf(token)
+        value = mp.mpf(token)
     except ValueError as exc:
         raise ConfigError(f"bad number {token!r}") from exc
+    if not mp.isfinite(value):
+        raise ConfigError(f"number must be finite, got {token!r}")
+    return value
 
 
 def parse_constant_list(text: str) -> list:
@@ -507,8 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(config: RunConfig) -> int:
-    if config.precision_bits is not None:
-        set_working_precision(config.precision_bits)
+    set_working_precision(config.precision_bits)
     return _COMMAND_TABLE[config.command][0](config)
 
 

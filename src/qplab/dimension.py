@@ -243,21 +243,18 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
         offsets = last[first:]
         cells_of_line = heads[key:][head_offsets[first:]]
         cells_of_line += offsets
-        limit = m  # cells from limit on lie in the wrapped tail of the line's first ball
-        while p < limit:
+        if p + a < w:  # only the line's first ball wraps past 0: mark its tail before the read
+            covered[start + m + p + a - w : start + m] = True
+        while p < m:
             # the line's balls, a window of cells at a time
-            stop = min(limit, p + _SCATTER_CHUNK)
+            stop = min(m, p + _SCATTER_CHUNK)
             unset = (np.flatnonzero(~covered[start + p : start + stop]) + p).tolist()
-            p = stop
             centers = []
             j = 0
-            while j < len(unset) and unset[j] < limit:
-                c = unset[j] + a
-                centers.append(c)
-                if c < w:
-                    limit = min(limit, m + c - w)
-                p = max(p, c + w + 1)
-                j = bisect_right(unset, c + w, j)
+            while j < len(unset):
+                centers.append(unset[j] + a)
+                j = bisect_right(unset, unset[j] + a + w, j)
+            p = max(stop, centers[-1] + w + 1) if centers else stop
             count += len(centers)
             for lo in range(0, len(centers), chunk):
                 batch = centers[lo : lo + chunk]

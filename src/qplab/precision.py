@@ -69,7 +69,9 @@ def as_mpf(x) -> mpf:
 
 
 def mpf_to_fraction(x: mpf) -> Fraction:
-    """The exact dyadic rational stored in an mpf."""
+    """The exact dyadic rational stored in a finite mpf."""
+    if not mp.isfinite(x):
+        raise ValueError(f"cannot convert non-finite {x} to a fraction")
     sign, man, exp, _ = mp.mpf(x)._mpf_
     man = int(man)  # the gmpy backend returns mpz mantissas
     exp = int(exp)

@@ -40,15 +40,7 @@ class QuasiperiodicSignal:
     __slots__ = ("terms", "label", "_amps", "_lams")
 
     def __init__(self, terms: Iterable[tuple[complex, object]], label: str = ""):
-        normalized: list[tuple[complex, mpf]] = []
-        for amp, lam in terms:
-            amp = complex(amp)
-            lam = as_mpf(lam)
-            if amp == 0:
-                raise ValueError("zero amplitude term")
-            if lam == 0:
-                raise ValueError("zero exponent term")
-            normalized.append((amp, lam))
+        normalized = [(complex(amp), as_mpf(lam)) for amp, lam in terms]
         if not normalized:
             raise ValueError("signal needs at least one term")
         exponents = [lam for _, lam in normalized]
@@ -58,6 +50,12 @@ class QuasiperiodicSignal:
         self.label = label
         self._amps = np.array([a for a, _ in self.terms], dtype=np.complex128)
         self._lams = np.array([float(l) for _, l in self.terms], dtype=np.float64)
+        # the float copies are what every computation uses
+        moduli = self.amplitude_moduli
+        if not np.all(np.isfinite(moduli) & (moduli != 0)):
+            raise ValueError("amplitudes must be nonzero and finite in float64")
+        if not np.all(np.isfinite(self._lams) & (self._lams != 0)):
+            raise ValueError("exponents must be nonzero and finite in float64")
 
     @property
     def n(self) -> int:

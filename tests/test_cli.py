@@ -380,6 +380,12 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
         ["scan", "--signal", "golden", "--eps", "inf", "--window", "0:10"],
         ["length-curve", "--signal", "golden", "--eps", "0.4,nan"],
         ["eval", "--signal", "golden", "--t", "nan"],
+        ["badness", "--alpha", "nan"],
+        ["badness", "--alpha", "inf"],
+        ["simdenom", "--alpha", "nan", "--delta", "0.1"],
+        ["kronecker", "--signal", "golden", "--kappa", "nan,0", "--eps", "0.3", "--tmax", "10"],
+        ["cf", "--x", "nan"],
+        ["cf", "--x=-inf"],
     ],
 )
 def test_non_finite_numbers_are_input_errors(argv, capsys):
@@ -388,6 +394,35 @@ def test_non_finite_numbers_are_input_errors(argv, capsys):
     assert err.startswith("error:")
     assert "finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--signal", "1+0i@1e400", "--t", "1"],
+        ["eval", "--signal", "1e400+0i@1", "--t", "1"],
+        ["scan", "--signal", "1+0i@1e-400", "--eps", "0.1", "--window", "0:1"],
+        ["length-curve", "--signal", "1+0i@1e-400", "--eps", "0.1"],
+        ["kronecker", "--signal", "1+0i@1e-400", "--kappa", "1", "--eps", "0.1", "--tmax", "5"],
+        ["dimension", "--signal", "1+0i@1e-400", "--eps", "0.5"],
+    ],
+)
+def test_signal_terms_float64_cannot_hold_are_input_errors(argv, capsys):
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "float64" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_precision_bits_applies_to_one_run_only(capsys):
+    argv = ["cf", "--x", "sqrt2", "--depth", "60"]
+    assert run_cli(argv) == 0
+    assert run_cli([*argv, "--precision-bits", "80"]) == 1
+    assert "cannot certify" in capsys.readouterr().err
+    # the next run without the flag is back at the default precision
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 # RunConfig fields each command takes as flags and config keys (besides --config)

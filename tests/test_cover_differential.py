@@ -347,6 +347,34 @@ def _all_grids(golden, sqrt23):
     return grids + [_random_grid(seed) for seed in range(16)]
 
 
+# n = 1 grids whose line is longer than one scan window of _SCATTER_CHUNK cells
+LONG_LINE_GRIDS = [((40000,), (1.0,), 0.001), ((70001,), (0.7,), 0.0004)]
+
+
+@pytest.mark.parametrize("cells,weights,eps", LONG_LINE_GRIDS)
+def test_long_line_grid_matches_per_ball(cells, weights, eps):
+    grid = TorusGridSample(cells=cells, weights=weights)
+    assert grid.size > dimension._SCATTER_CHUNK
+    assert grid_counts(grid, eps) == reference_grid_counts(grid, eps)
+
+
+@pytest.fixture(scope="module")
+def small_grid_references(golden, sqrt23):
+    """(grid, eps, reference counts) of every torus-grid case above with at most 3e5 cells."""
+    return [
+        (grid, eps, reference_grid_counts(grid, eps))
+        for grid, eps in _all_grids(golden, sqrt23) if grid.size <= 300_000
+    ]
+
+
+@pytest.mark.parametrize("chunk", [3, 7, 64])
+def test_small_scan_windows_match_per_ball(monkeypatch, small_grid_references, chunk):
+    # windows of a few cells carry the scan position across windows on every line
+    monkeypatch.setattr(dimension, "_SCATTER_CHUNK", chunk)
+    for grid, eps, reference in small_grid_references:
+        assert grid_counts(grid, eps) == reference, (grid.cells, grid.weights, eps)
+
+
 def test_grid_metric_matches_references_bitwise(golden, sqrt23):
     # the counts only see a metric change that moves a stencil cell across the
     # radius; reach, stencil box and density radius must equal the references exactly

@@ -98,6 +98,21 @@ def test_cf_reconstruction_error_bound():
     assert abs(mpf_to_fraction(x) - approx) <= cf.error_bound
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_non_finite_constants_are_rejected(token):
+    x = mp.mpf(token)
+    with pytest.raises(ValueError, match="non-finite"):
+        mpf_to_fraction(x)
+    with pytest.raises(ValueError, match="non-finite"):
+        cf_expand(x, 5)
+    with pytest.raises(ValueError, match="non-finite"):
+        badness_score([x], 100)
+    with pytest.raises(ValueError, match="non-finite"):
+        badness_score([golden_ratio(), x], 100)
+    with pytest.raises(ValueError, match="non-finite"):
+        best_simultaneous_denominator([x], 0.1, 100)
+
+
 def test_convergents_phi_fibonacci():
     cf = cf_expand(golden_ratio(), 10)
     assert cf.convergents[:5] == ((1, 1), (2, 1), (3, 2), (5, 3), (8, 5))

@@ -149,6 +149,23 @@ def test_signal_validation():
         QuasiperiodicSignal([])
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [[(1, "1e400")], [(1, "-1e400")], [(1, "1e-400")], [(1, math.nan)], [(1e400, 1)],
+     [(complex(1, math.nan), 1)], [(1.5e308 + 1.5e308j, 1)]],
+)
+def test_signal_float_copies_must_be_finite_and_nonzero(terms):
+    # the exact amplitude and exponent pass; their float64 copies overflow, underflow or are NaN
+    with pytest.raises(ValueError, match="float64"):
+        QuasiperiodicSignal(terms)
+
+
+@pytest.mark.parametrize("text", ["1+0i@1e400", "1e400+0i@1", "1+0i@1e-400", "1+0i@1,1+0i@-1e-400"])
+def test_parse_signal_rejects_terms_float64_cannot_hold(text):
+    with pytest.raises(SignalParseError, match="float64"):
+        parse_signal(text)
+
+
 def test_presets():
     g = preset("golden")
     g1 = preset("golden1")
