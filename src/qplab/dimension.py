@@ -15,7 +15,6 @@ iff it is at least 2*eps away from every kept point.
 from __future__ import annotations
 
 import math
-import mmap
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -29,6 +28,8 @@ from .precision import fold_angle
 from .signal import QuasiperiodicSignal, lipschitz_constant, translation_distance_many
 
 TWO_PI = 2.0 * math.pi
+# cap on hull-grid cells; it bounds the greedy walks' time, not their memory,
+# since their flags are held for a band of lines, not the grid
 MAX_CELLS = 2**27
 MAX_SEGMENT_POINTS = 2**24
 # hull grids and orbit segments are SAFETY times finer than the radius needs
@@ -185,6 +186,22 @@ def _cover_advances(sample: TorusGridSample, radius: float) -> list[int]:
     return advances
 
 
+def _ball_centers(unset: np.ndarray, p: int, a: int, w: int) -> list[int]:
+    """Last-axis centers of the balls that a window of a line calls for.
+
+    ``unset`` flags the window's unset cells, from position p on. Each ball is
+    centered a past the first unset cell that no earlier ball reaches, and
+    reaches w cells either side of its center.
+    """
+    cells = (np.flatnonzero(unset) + p).tolist()
+    centers = []
+    j = 0
+    while j < len(cells):
+        centers.append(cells[j] + a)
+        j = bisect_right(cells, cells[j] + a + w, j)
+    return centers
+
+
 def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]) -> int:
     """Count greedy balls: each is centered at the first unset cell plus ``advances``
     and marks every cell within radius.
@@ -193,19 +210,23 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
     first unset cell every ball covers the same interval [c - w, c + w] (mod m)
     of the last axis, so the line's balls follow from its unset positions
     alone. They are then marked together: the flat index of each stencil cell
-    is a wrapped lookup of its head offsets plus its last-axis offset, with the
-    few cells past an end of the line moved by m. A ball wraps onto itself only
-    when an axis has m even and reach m/2; its stencil then holds the cell at
-    offset +-m/2 twice, and marking a cell twice does nothing.
+    is its line's start plus its last-axis offset, with the few cells past an
+    end of the line moved by m. A ball wraps onto itself only when an axis has
+    m even and reach m/2; its stencil then holds the cell at offset +-m/2
+    twice, and marking a cell twice does nothing.
+
+    Flags are held for 2W lines only, where no ball read on a line marks W or
+    more lines past it. Once the scan is W lines past the first held line, the
+    held lines slide up to the scan's line. Marks on lines before them are
+    dropped: every cell before the scan is covered already. Only a ball wrapping
+    below 0 along axis 0 marks past the held lines, on the last planes; those
+    marks wait in a tail array until their lines are held.
     """
     cells = sample.cells
-    reaches = [_reach(sample, axis, radius) for axis in range(len(cells))]
-    # the flags get an anonymous mapping of their own, so their pages go back to
-    # the system on return; tens of MB freed to the heap would stay resident
-    covered = np.frombuffer(mmap.mmap(-1, sample.size), dtype=bool)
+    n = len(cells)
+    reaches = [_reach(sample, axis, radius) for axis in range(n)]
     # stencil over the reach box: offsets with metric < radius (the whole box for sup)
     mask = _offsets_metric(sample, [np.arange(-r, r + 1) for r in reaches]) < radius
-    n = len(cells)
     m, a, r = cells[-1], advances[-1], reaches[-1]
     # the stencil row through the first unset cell; symmetric and contiguous
     w = int(np.count_nonzero(mask[tuple(q - b for q, b in zip(reaches[:-1], advances[:-1]))])) // 2
@@ -215,7 +236,7 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
     heads = np.zeros((), dtype=np.intp)
     for k in range(n - 1):
         wrapped = (np.arange(cells[k] + advances[k] + 2 * reaches[k]) - reaches[k]) % cells[k]
-        heads = np.add.outer(heads, wrapped * int(np.prod(cells[k + 1 :])))
+        heads = np.add.outer(heads, wrapped * math.prod(cells[k + 1 :]))
     head_strides = [int(np.prod(heads.shape[k + 1 :])) for k in range(n - 1)]
     heads = heads.ravel()
     coords = np.nonzero(mask)  # lexicographic order, offset o_k stored as o_k + r_k
@@ -227,38 +248,73 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
     ahead = int(np.searchsorted(
         head_offsets, sum((reaches[k] - advances[k]) * head_strides[k] for k in range(n - 1)), "right"
     ))
+    # on a line whose stencil wraps on no head axis, those cells lie at flat_ahead
+    # from the start of the line at head coordinates x_k + b_k - r_k
+    flat_ahead = sum(
+        (coords[k][ahead:] * math.prod(cells[k + 1 :]) for k in range(n - 1)), last[ahead:]
+    )
+    lines = math.prod(cells[:-1])
+    plane = math.prod(cells[1:-1])  # lines per step along axis 0
+    reach_lines = (advances[0] + reaches[0] + 1) * plane
+    held = min(2 * reach_lines, lines)  # lines of flags held, from line `origin` on
+    flags = np.zeros(held * m, dtype=bool)
+    # the last planes, which marks wrapping below 0 along axis 0 reach
+    tail_start = (cells[0] - reaches[0] + advances[0]) * plane
+    tail = np.zeros((lines - tail_start) * m if held < lines else 0, dtype=bool)
+    origin = 0
     chunk = max(1, _SCATTER_CHUNK // last.size)
     count = 0
-    i = _next_unset(covered, 0)
-    while i >= 0:
+    i = _next_unset(flags, 0)
+    while True:
+        if origin + held < lines and (i < 0 or i >= reach_lines * m):
+            # slide: the scan's line, or past the held lines, becomes the first line
+            shift = held if i < 0 else i // m
+            flags[: (held - shift) * m] = flags[shift * m :]
+            flags[(held - shift) * m :] = False
+            entered = max(origin + held, tail_start)
+            origin += shift
+            end = min(origin + held, lines)
+            flags[(end - origin) * m :] = True  # past the grid's last line
+            if entered < end:
+                flags[(entered - origin) * m : (end - origin) * m] |= tail[
+                    (entered - tail_start) * m : (end - tail_start) * m
+                ]
+            i = _next_unset(flags, 0) if i < 0 else i - shift * m
+            continue
+        if i < 0:
+            return count
         line, p = divmod(i, m)
         start = line * m
+        line += origin
         key = 0
         first = ahead
+        fast = True
         for k in range(n - 2, -1, -1):
             line, x = divmod(line, cells[k])
             key += (x + advances[k]) * head_strides[k]
             if x + advances[k] < reaches[k]:
                 first = 0
-        offsets = last[first:]
-        cells_of_line = heads[key:][head_offsets[first:]]
-        cells_of_line += offsets
+            fast = fast and reaches[k] <= x + advances[k] < cells[k] - reaches[k]
+        if fast:
+            offsets = last[ahead:]
+            base = heads[key] - origin * m
+            cells_of_line = flat_ahead
+        else:
+            offsets = last[first:]
+            base = -origin * m
+            cells_of_line = heads[key:][head_offsets[first:]]
+            cells_of_line += offsets
         if p + a < w:  # only the line's first ball wraps past 0: mark its tail before the read
-            covered[start + m + p + a - w : start + m] = True
+            flags[start + m + p + a - w : start + m] = True
         while p < m:
             # the line's balls, a window of cells at a time
             stop = min(m, p + _SCATTER_CHUNK)
-            unset = (np.flatnonzero(~covered[start + p : start + stop]) + p).tolist()
-            centers = []
-            j = 0
-            while j < len(unset):
-                centers.append(unset[j] + a)
-                j = bisect_right(unset, unset[j] + a + w, j)
+            centers = _ball_centers(~flags[start + p : start + stop], p, a, w)
             p = max(stop, centers[-1] + w + 1) if centers else stop
             count += len(centers)
             for lo in range(0, len(centers), chunk):
                 batch = centers[lo : lo + chunk]
-                idx = np.add.outer(np.array(batch), cells_of_line)
+                idx = np.add.outer(np.array(batch) + base, cells_of_line)
                 # centers are ascending: only the first and last balls wrap past an end of the line
                 for b, c in enumerate(batch):
                     if c >= r:
@@ -268,9 +324,20 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
                     if batch[b] + r < m:
                         break
                     np.subtract(idx[b], m, out=idx[b], where=offsets >= m - batch[b])
-                covered[idx] = True
-        i = _next_unset(covered, start + m)
-    return count
+                if fast:
+                    flags[idx] = True
+                else:
+                    _mark_held(flags, tail, idx.ravel(), (origin - tail_start) * m)
+        i = _next_unset(flags, start + m)
+
+
+def _mark_held(flags: np.ndarray, tail: np.ndarray, idx: np.ndarray, to_tail: int) -> None:
+    """Set flags[idx], dropping idx < 0 (cells the scan has passed) and moving idx
+    past the held lines to the tail, to_tail further on."""
+    inside = idx < flags.size
+    flags[idx[inside & (idx >= 0)]] = True
+    if not inside.all():
+        tail[idx[~inside] + to_tail] = True
 
 
 def _grid_greedy_cover(sample: TorusGridSample, radius: float) -> int:

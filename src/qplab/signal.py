@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,6 +22,8 @@ MAX_ORACLE_POINTS = 2**26
 # search box and tolerance of suspected_rational_relation
 RELATION_MAX_COEFF = 6
 RELATION_REL_TOL = 1e-9
+# float64 rounding of its relation filter, relative to max|lambda|; derived there
+_RELATION_MARGIN = 2.0**-40
 _CHUNK = 2**21
 
 _TERM_RE = re.compile(
@@ -32,6 +33,19 @@ _TERM_RE = re.compile(
 )
 
 PRESET_NAMES = ("golden", "golden1", "sqrt23")
+
+
+def _float_copies(terms: Sequence[tuple[complex, mpf]]) -> tuple[np.ndarray, np.ndarray]:
+    """The complex128 amplitudes and float64 exponents of the terms, which every
+    computation uses; ValueError unless each modulus and exponent is nonzero and finite."""
+    amps = np.array([a for a, _ in terms], dtype=np.complex128)
+    lams = np.array([float(l) for _, l in terms], dtype=np.float64)
+    moduli = np.abs(amps)
+    if not np.all(np.isfinite(moduli) & (moduli != 0)):
+        raise ValueError("amplitudes must be nonzero and finite in float64")
+    if not np.all(np.isfinite(lams) & (lams != 0)):
+        raise ValueError("exponents must be nonzero and finite in float64")
+    return amps, lams
 
 
 class QuasiperiodicSignal:
@@ -48,14 +62,7 @@ class QuasiperiodicSignal:
             raise ValueError("exponents must be pairwise distinct")
         self.terms: tuple[tuple[complex, mpf], ...] = tuple(normalized)
         self.label = label
-        self._amps = np.array([a for a, _ in self.terms], dtype=np.complex128)
-        self._lams = np.array([float(l) for _, l in self.terms], dtype=np.float64)
-        # the float copies are what every computation uses
-        moduli = self.amplitude_moduli
-        if not np.all(np.isfinite(moduli) & (moduli != 0)):
-            raise ValueError("amplitudes must be nonzero and finite in float64")
-        if not np.all(np.isfinite(self._lams) & (self._lams != 0)):
-            raise ValueError("exponents must be nonzero and finite in float64")
+        self._amps, self._lams = _float_copies(self.terms)
 
     @property
     def n(self) -> int:
@@ -117,6 +124,10 @@ def parse_signal(text: str) -> QuasiperiodicSignal:
         lam = as_mpf(lam_part)
         if lam == 0:
             raise SignalParseError("zero exponent", offset)
+        try:
+            _float_copies([(amp, lam)])
+        except ValueError as exc:
+            raise SignalParseError(str(exc), offset) from exc
         terms.append((amp, lam))
         offset += len(piece) + 1
     try:
@@ -190,8 +201,20 @@ def suspected_rational_relation(exponents: Sequence[object]) -> tuple[int, ...] 
 
     Returns coefficients c_j in [-RELATION_MAX_COEFF, RELATION_MAX_COEFF] with
     |sum c_j lambda_j| < RELATION_REL_TOL * max|lambda| if any exist, else
-    None. A heuristic warning only: absence of a small relation certifies
-    nothing.
+    None; of several, the first in itertools.product order whose first nonzero
+    coefficient is positive. A heuristic warning only: absence of a small
+    relation certifies nothing.
+
+    The tuples are filtered in float64 on x_j = lambda_j / max|lambda|, so
+    |x_j| <= 1 and sum |c_j x_j| <= 24 for n <= 4. Against the exact sum X of
+    c_j x_j, rounding x_j to working precision (at least 53 bits) and then to
+    float64 errs by at most 24 * 2**-52, plus 24 * 2**-1074 for subnormals, and
+    the float64 sum of at most 4 products by at most 4.01 * 24 * 2**-53.
+    The mpmath sum below errs by at most 8 * 24 * 2**-53 of max|lambda|, and
+    its bound by 2**-53 of itself. So a tuple the mpmath test accepts has a
+    float64 sum below RELATION_REL_TOL + 2**-44, and the filter keeps every
+    tuple below RELATION_REL_TOL + _RELATION_MARGIN. The survivors are tested
+    in product order with that mpmath expression.
     """
     lams = [as_mpf(x) for x in exponents]
     n = len(lams)
@@ -199,7 +222,18 @@ def suspected_rational_relation(exponents: Sequence[object]) -> tuple[int, ...] 
         raise ValueError("relation search supports at most 4 exponents")
     scale = max(abs(l) for l in lams)
     bound = mpf(RELATION_REL_TOL) * scale
-    for coeffs in product(range(-RELATION_MAX_COEFF, RELATION_MAX_COEFF + 1), repeat=n):
+    if not scale:
+        return None  # every sum is 0, and none is below a bound of 0
+    span = 2 * RELATION_MAX_COEFF + 1
+    # column i holds the i-th tuple in product order
+    grid = np.indices((span,) * n, dtype=np.int8).reshape(n, -1) - RELATION_MAX_COEFF
+    sums = np.zeros(grid.shape[1])
+    for row, lam in zip(grid, lams):
+        sums += row * float(lam / scale)
+    # a NaN sum, from a non-finite exponent, is kept for the mpmath test
+    near = ~(np.abs(sums) >= RELATION_REL_TOL + _RELATION_MARGIN)
+    for column in grid[:, near].T:
+        coeffs = tuple(int(c) for c in column)
         if all(c == 0 for c in coeffs):
             continue
         first = next(c for c in coeffs if c != 0)
@@ -211,5 +245,3 @@ def suspected_rational_relation(exponents: Sequence[object]) -> tuple[int, ...] 
         if abs(combo) < bound:
             return coeffs
     return None
-
-

@@ -415,6 +415,18 @@ def test_signal_terms_float64_cannot_hold_are_input_errors(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_float64_term_error_names_the_term_position(capsys):
+    # the same position a zero amplitude in that term reports
+    for text, message in (
+        ("1+0i@1,1+0i@1e400", "exponents must be nonzero and finite in float64"),
+        ("1+0i@1,1e400+0i@2", "amplitudes must be nonzero and finite in float64"),
+        ("1+0i@1,0+0i@2", "zero amplitude"),
+    ):
+        assert run_cli(["eval", "--signal", text, "--t", "1"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message} (at position 7)\n")
+
+
 def test_precision_bits_applies_to_one_run_only(capsys):
     argv = ["cf", "--x", "sqrt2", "--depth", "60"]
     assert run_cli(argv) == 0

@@ -1,8 +1,9 @@
 """Differential gate for the greedy covers of qplab.dimension.
 
-The torus-grid greedy works one line of the last axis at a time and marks a
-line's balls in one scatter; the orbit-segment greedy marks each ball's lag
-offsets, the k with D(k h) below the radius. Both must give exactly the counts
+The torus-grid greedy works one line of the last axis at a time, marks a
+line's balls in one scatter, and holds its flags for a sliding window of
+lines; the orbit-segment greedy marks each ball's lag offsets, the k with
+D(k h) below the radius. Both must give exactly the counts
 of the per-ball references kept here: the grid greedy that finds each first
 unset cell and marks one ball at a time (``_grid_mark``, ``_next_unset``, and
 ``_grid_mark_slow`` from full per-axis distances when a ball wraps onto itself
@@ -344,6 +345,7 @@ def _all_grids(golden, sqrt23):
         for cells in NON_SQUARE_CELLS for chord in (False, True) for eps in NON_SQUARE_EPS
     ]
     grids += [(TorusGridSample(cells=c, weights=w), eps) for c, w, eps in SELF_WRAPPING_GRIDS]
+    grids += [(TorusGridSample(cells=c, weights=w), eps) for _, c, w, eps in WINDOW_GRIDS]
     return grids + [_random_grid(seed) for seed in range(16)]
 
 
@@ -355,6 +357,81 @@ LONG_LINE_GRIDS = [((40000,), (1.0,), 0.001), ((70001,), (0.7,), 0.0004)]
 def test_long_line_grid_matches_per_ball(cells, weights, eps):
     grid = TorusGridSample(cells=cells, weights=weights)
     assert grid.size > dimension._SCATTER_CHUNK
+    assert grid_counts(grid, eps) == reference_grid_counts(grid, eps)
+
+
+# ---------------------------------------------------------------------------
+# the window of held lines
+#
+# The grid greedy holds flags for twice the window of lines that a ball read on
+# a line can mark, or for the whole grid when that is fewer lines; marks that
+# wrap below 0 along axis 0 wait in a tail array until their lines are held.
+
+
+def _held_lines(grid, radius, advances):
+    """(held, lines): the lines of flags the grid greedy holds, and the grid's lines."""
+    cells = grid.cells
+    window = (advances[0] + _reach(grid, 0, radius) + 1) * math.prod(cells[1:-1])
+    lines = math.prod(cells[:-1])
+    return min(2 * window, lines), lines
+
+
+def _walks(grid, eps):
+    """(held, lines, reach on axis 0) of the cover and of the packing."""
+    advances = (_cover_advances(grid, eps), [0] * len(grid.cells))
+    return [
+        (*_held_lines(grid, radius, adv), _reach(grid, 0, radius))
+        for radius, adv in zip((eps, 2.0 * eps), advances)
+    ]
+
+
+def _window_grids(kind, count):
+    """Seeded grids of one kind:
+
+    - "sliding": both walks hold at most an eighth of the lines, so the window
+      slides many times and marks wrapping below 0 pass through the tail;
+    - "near_wrap": m_0 is 2 r_0 + 2 or 2 r_0 + 3 for a walk, or the reach is m_0/2,
+      so the ball nearly wraps or wraps onto itself along axis 0;
+    - "whole": n >= 2, both walks hold the whole grid, and no ball wraps onto itself;
+    - "line": n = 1.
+    """
+    rng = np.random.default_rng({"sliding": 6000, "near_wrap": 6100, "whole": 6200, "line": 6300}[kind])
+    out = []
+    while len(out) < count:
+        n = 1 if kind == "line" else int(rng.integers(2, 4))
+        if kind == "sliding":
+            head = int(rng.integers(120, 480)) if n == 2 else int(rng.integers(60, 140))
+        else:
+            head = int(rng.integers(1, 3000 if n == 1 else 40))
+        cells = (head, *(int(m) for m in rng.integers(3, 14, n - 1)))
+        weights = None if rng.random() < 0.25 else tuple(float(w) for w in rng.uniform(0.2, 2.0, n))
+        scale = 1.0 if weights is None else weights[0]
+        eps = round(float(rng.uniform(0.01, 0.14 if kind == "sliding" else 1.6)) * scale, 4)
+        grid = TorusGridSample(cells=cells, weights=weights)
+        walks = _walks(grid, eps)
+        if kind == "sliding":
+            keep = all(8 * held <= lines for held, lines, _ in walks)
+        elif kind == "near_wrap":
+            keep = any(head - 2 * r in (2, 3) or 2 * r == head for _, _, r in walks)
+        elif kind == "whole":
+            keep = all(held == lines and 2 * r + 1 <= head for held, lines, r in walks)
+        else:
+            keep = True
+        if keep:
+            out.append((cells, weights, eps))
+    return out
+
+
+WINDOW_GRIDS = [
+    (kind, *case)
+    for kind, count in (("sliding", 24), ("near_wrap", 24), ("whole", 12), ("line", 12))
+    for case in _window_grids(kind, count)
+]
+
+
+@pytest.mark.parametrize("kind,cells,weights,eps", WINDOW_GRIDS)
+def test_window_grid_matches_per_ball(kind, cells, weights, eps):
+    grid = TorusGridSample(cells=cells, weights=weights)
     assert grid_counts(grid, eps) == reference_grid_counts(grid, eps)
 
 

@@ -4,12 +4,15 @@ badness_score and best_simultaneous_denominator filter each chunk of q by a
 certified uint64 fixed-point bound and recheck only the survivors exactly.
 Both must give exactly the results of the per-q loops they replaced, kept here
 as references: the same (score, argmin_q), ties and exact zeros included, and
-the same smallest q.
+the same smallest q. kronecker_solve evaluates its grid in blocks that double;
+it must return exactly the first hit, or None, of the loop over fixed blocks
+of 2**20 points kept here.
 """
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from mpmath import mp
 
@@ -18,8 +21,10 @@ from qplab.diophantine import (
     _exact_residue_increments,
     badness_score,
     best_simultaneous_denominator,
+    kronecker_solve,
 )
 from qplab.precision import golden_ratio, sqrt2, sqrt3
+from qplab.signal import preset
 
 CHUNK = diophantine._Q_CHUNK
 PRESETS = {
@@ -299,3 +304,64 @@ def test_badness_rechecks_few_q(alpha, monkeypatch):
     badness_score(alpha, 2 * CHUNK)
     assert rechecked == sorted(rechecked)
     assert len(rechecked) <= 64
+
+
+# ---------------------------------------------------------------------------
+# kronecker_solve against fixed blocks
+
+
+def reference_kronecker(lambdas, kappas, eps, tmax):
+    """The first grid point with every folded residual below eps, over blocks of 2**20 points."""
+    lams = np.array([float(l) for l in lambdas], dtype=np.float64)
+    kaps = np.array([float(k) for k in kappas], dtype=np.float64)
+    step = eps / (2.0 * float(np.max(np.abs(lams))))
+    npts = int(math.floor(tmax / step)) + 1
+    two_pi = 2.0 * math.pi
+    for start in range(0, npts, 2**20):
+        t = np.arange(start, min(start + 2**20, npts), dtype=np.float64) * step
+        worst = np.zeros(t.shape, dtype=np.float64)
+        for lam, kap in zip(lams, kaps):
+            r = np.mod(lam * t - kap, two_pi)
+            np.maximum(worst, np.minimum(r, two_pi - r), out=worst)
+        hits = np.flatnonzero(worst < eps)
+        if hits.size:
+            return float(t[hits[0]])
+    return None
+
+
+KRONECKER_EPS = 1e-6
+FIRST = diophantine._FIRST_BLOCK
+# first-hit indices: the first point, either side of the first two block ends,
+# past the parent's 2**20-point block, and past the first block capped at _CHUNK
+KRONECKER_HITS = (0, FIRST - 1, FIRST, 3 * FIRST - 1, 2**20 + 5, 127 * FIRST + 2**20 + 7)
+
+
+def _planted_kappas(lams, index):
+    """Phases whose residuals at grid index k are (k - index - 1.5) * step * lambda_j:
+    below eps from `index` on, at least 1.25 eps before it, for the largest |lambda_j|."""
+    step = KRONECKER_EPS / (2.0 * max(abs(l) for l in lams))
+    return [math.fmod(l * (index + 1.5) * step, 2.0 * math.pi) for l in lams], step
+
+
+@pytest.mark.parametrize("index", KRONECKER_HITS)
+def test_kronecker_first_hit_matches_fixed_blocks(index):
+    lams = [float(l) for l in preset("sqrt23").exponents_float]
+    kaps, step = _planted_kappas(lams, index)
+    tmax = (index + 1000) * step
+    t = kronecker_solve(lams, kaps, KRONECKER_EPS, tmax)
+    assert t == reference_kronecker(lams, kaps, KRONECKER_EPS, tmax)
+    assert round(t / step) == index
+
+
+@pytest.mark.parametrize("npts", [3 * FIRST + 123, 2**20 + 77])
+def test_kronecker_last_point_and_none_match_fixed_blocks(npts):
+    # grids that end inside a block: a hit on the last point, then one point short of it
+    lams = [float(l) for l in preset("sqrt23").exponents_float]
+    kaps, step = _planted_kappas(lams, npts - 1)
+    tmax = (npts - 0.5) * step
+    t = kronecker_solve(lams, kaps, KRONECKER_EPS, tmax)
+    assert t == reference_kronecker(lams, kaps, KRONECKER_EPS, tmax)
+    assert round(t / step) == npts - 1
+    short = (npts - 1.5) * step
+    assert kronecker_solve(lams, kaps, KRONECKER_EPS, short) is None
+    assert reference_kronecker(lams, kaps, KRONECKER_EPS, short) is None

@@ -1,12 +1,16 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
-from mpmath import mp
+from mpmath import mp, mpf
 
 from qplab.errors import BudgetExceeded, SignalParseError
-from qplab.precision import golden_ratio, two_pi
+from qplab.precision import as_mpf, golden_ratio, two_pi
 from qplab.signal import (
+    PRESET_NAMES,
+    RELATION_MAX_COEFF,
+    RELATION_REL_TOL,
     QuasiperiodicSignal,
     evaluate,
     lipschitz_constant,
@@ -225,6 +229,80 @@ def test_suspected_rational_relation_finds_multiple():
 
 def test_suspected_rational_relation_none_for_golden(golden):
     assert suspected_rational_relation(golden.exponents) is None
+
+
+def reference_relation(exponents):
+    """The relation search that sums every coefficient tuple in mpmath, in product order."""
+    lams = [as_mpf(x) for x in exponents]
+    scale = max(abs(l) for l in lams)
+    bound = mpf(RELATION_REL_TOL) * scale
+    for coeffs in product(range(-RELATION_MAX_COEFF, RELATION_MAX_COEFF + 1), repeat=len(lams)):
+        if all(c == 0 for c in coeffs):
+            continue
+        if next(c for c in coeffs if c != 0) < 0:
+            continue
+        combo = mpf(0)
+        for c, lam in zip(coeffs, lams):
+            combo += c * lam
+        if abs(combo) < bound:
+            return coeffs
+    return None
+
+
+def _seeded_exponents(seed):
+    rng = np.random.default_rng(4000 + seed)
+    n = 1 + seed % 4
+    return [mpf(float(x)) * 10 ** int(k) for x, k in zip(rng.uniform(-9, 9, n), rng.integers(-3, 4, n))]
+
+
+def _planted_relations(seed):
+    """Exponent lists with sum c_j lambda_j, gcd(c) = 1, at RELATION_REL_TOL * max|lambda|
+    times 1 -+ 2**-30, 1 -+ 2**-(prec - 48) and 1, at the working precision prec."""
+    rng = np.random.default_rng(5000 + seed)
+    n = 2 + seed % 3
+    tight = mpf(2) ** (48 - mp.prec)
+    factors = (1 - mpf(2) ** -30, 1 - tight, mpf(1), 1 + tight, 1 + mpf(2) ** -30)
+    out = []
+    while len(out) < len(factors):
+        coeffs = [int(c) for c in rng.integers(-RELATION_MAX_COEFF, RELATION_MAX_COEFF + 1, n)]
+        if coeffs[-1] == 0 or math.gcd(*coeffs) != 1:
+            continue
+        lams = [mpf(float(x)) for x in rng.uniform(1.0, 10.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)]
+        scale = max(abs(l) for l in lams)
+        target = factors[len(out)] * mpf(RELATION_REL_TOL) * scale * int(rng.choice([-1, 1]))
+        last = (target - sum(c * l for c, l in zip(coeffs, lams))) / coeffs[-1]
+        if abs(last) < scale:  # max|lambda| stays the planted scale
+            out.append(lams + [last])
+    return out
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_relation_matches_reference_on_presets(name):
+    exponents = preset(name).exponents
+    assert suspected_rational_relation(exponents) == reference_relation(exponents) is None
+
+
+def test_relation_matches_reference_on_seeded_exponents():
+    cases = [_seeded_exponents(seed) for seed in range(16)]
+    cases += [[mp.pi, 2 * mp.pi], [1, -1], [3, mpf(2) / 3, 5], [mp.e, mp.pi, mp.e + mp.pi, 1]]
+    found = 0
+    for exponents in cases:
+        expected = reference_relation(exponents)
+        assert suspected_rational_relation(exponents) == expected, exponents
+        found += expected is not None
+    assert found >= 4  # the four lists with a relation by construction
+
+
+@pytest.mark.parametrize("bits", [80, 256])
+@pytest.mark.parametrize("seed", range(4))
+def test_relation_matches_reference_at_the_tolerance_edge(seed, bits):
+    with mp.workprec(bits):
+        hits = []
+        for exponents in _planted_relations(seed):
+            expected = reference_relation(exponents)
+            assert suspected_rational_relation(exponents) == expected, exponents
+            hits.append(expected is not None)
+    assert hits[0] and not hits[-1]
 
 
 def test_evaluate_array_matches_scalar(golden):
