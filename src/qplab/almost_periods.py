@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, EmptyAlmostPeriodSet, StepTooCoarse, TooFewSamples
+from .errors import BudgetExceeded, EmptyAlmostPeriodSet, StepTooCoarse, TooFewSamples, grid_count
 from .signal import QuasiperiodicSignal, lipschitz_constant, translation_distance_many
 
 DEFAULT_MAX_GRID_POINTS = 2**29
@@ -132,7 +132,7 @@ def sublevel_scan(
         raise StepTooCoarse(
             f"step {step:g} exceeds eps/(4C) = {eps / (4.0 * C):g}"
         )
-    m = int(math.ceil((hi - lo) / step))
+    m = grid_count(hi - lo, step)
     if m + 1 > max_grid_points:
         raise BudgetExceeded(f"scan grid needs {m + 1} points, cap is {max_grid_points}")
     h = (hi - lo) / m

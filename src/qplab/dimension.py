@@ -23,7 +23,7 @@ import numpy as np
 from mpmath import mpf
 
 from .almost_periods import loglog_fit
-from .errors import BudgetExceeded, GridTooCoarse, TooFewScales
+from .errors import BudgetExceeded, GridTooCoarse, TooFewScales, grid_count
 from .precision import fold_angle
 from .signal import QuasiperiodicSignal, lipschitz_constant, translation_distance_many
 
@@ -138,7 +138,7 @@ class TorusGridSample:
     def hull_grid(cls, f: QuasiperiodicSignal, eps: float) -> "TorusGridSample":
         weights = tuple(float(w) for w in f.amplitude_moduli)
         c2 = sum(weights)
-        m = int(math.ceil(TWO_PI * SAFETY * c2 / eps))
+        m = grid_count(TWO_PI * SAFETY * c2, eps)
         if m ** f.n > MAX_CELLS:
             raise BudgetExceeded(f"torus grid needs {m ** f.n} cells, cap is {MAX_CELLS}")
         return cls(cells=(m,) * f.n, weights=weights)
@@ -215,12 +215,19 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
     m even and reach m/2; its stencil then holds the cell at offset +-m/2
     twice, and marking a cell twice does nothing.
 
-    Flags are held for 2W lines only, where no ball read on a line marks W or
-    more lines past it. Once the scan is W lines past the first held line, the
-    held lines slide up to the scan's line. Marks on lines before them are
-    dropped: every cell before the scan is covered already. Only a ball wrapping
-    below 0 along axis 0 marks past the held lines, on the last planes; those
-    marks wait in a tail array until their lines are held.
+    Flags live in one buffer: W + ceil(W/2) held lines from line ``origin`` on,
+    where no ball read on a line marks W or more lines past it, then the last
+    planes, lines ``split`` on, which marks wrapping below 0 along axis 0
+    reach. Once the scan is ceil(W/2) lines past origin, the held lines slide up
+    to its line, but never past the last planes. Marks before origin are
+    dropped, since every cell before the scan is covered; where a mark lands
+    depends only on its line, so it is routed once per line. This is exact
+    because:
+    - before the last slide the scan is less than ceil(W/2) lines past origin,
+      so no mark reaches past origin + held;
+    - marks past the held lines come only from balls that wrap below 0 along
+      axis 0, and they land on lines from split on;
+    - after the last slide, row L - origin is line L for every line left.
     """
     cells = sample.cells
     n = len(cells)
@@ -256,30 +263,26 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
     lines = math.prod(cells[:-1])
     plane = math.prod(cells[1:-1])  # lines per step along axis 0
     reach_lines = (advances[0] + reaches[0] + 1) * plane
-    held = min(2 * reach_lines, lines)  # lines of flags held, from line `origin` on
-    flags = np.zeros(held * m, dtype=bool)
-    # the last planes, which marks wrapping below 0 along axis 0 reach
-    tail_start = (cells[0] - reaches[0] + advances[0]) * plane
-    tail = np.zeros((lines - tail_start) * m if held < lines else 0, dtype=bool)
+    lead = (reach_lines + 1) // 2  # lines the scan reads past origin before a slide
+    held = min(reach_lines + lead, lines)
+    split = min(lines, max(held, (cells[0] - reaches[0] + advances[0]) * plane))
+    # rows [0, held) hold lines [origin, origin + held), the rows after them lines [split, lines)
+    flags = np.zeros((held + lines - split) * m, dtype=bool)
     origin = 0
+    scan = flags[: held * m] if held < split else flags  # the rows the scan reads
     chunk = max(1, _SCATTER_CHUNK // last.size)
     count = 0
-    i = _next_unset(flags, 0)
+    i = _next_unset(scan, 0)
     while True:
-        if origin + held < lines and (i < 0 or i >= reach_lines * m):
-            # slide: the scan's line, or past the held lines, becomes the first line
-            shift = held if i < 0 else i // m
-            flags[: (held - shift) * m] = flags[shift * m :]
-            flags[(held - shift) * m :] = False
-            entered = max(origin + held, tail_start)
+        if origin + held < split and (i < 0 or i >= lead * m):
+            # slide to the scan's line, or past the held lines, but not past the last planes
+            shift = min(held if i < 0 else i // m, split - held - origin)
+            flags[: (held - shift) * m] = flags[shift * m : held * m]
+            flags[(held - shift) * m : held * m] = False
             origin += shift
-            end = min(origin + held, lines)
-            flags[(end - origin) * m :] = True  # past the grid's last line
-            if entered < end:
-                flags[(entered - origin) * m : (end - origin) * m] |= tail[
-                    (entered - tail_start) * m : (end - tail_start) * m
-                ]
-            i = _next_unset(flags, 0) if i < 0 else i - shift * m
+            if origin + held == split:
+                scan = flags
+            i = _next_unset(scan, 0) if i < 0 else i - shift * m
             continue
         if i < 0:
             return count
@@ -300,10 +303,13 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
             base = heads[key] - origin * m
             cells_of_line = flat_ahead
         else:
-            offsets = last[first:]
-            base = -origin * m
-            cells_of_line = heads[key:][head_offsets[first:]]
-            cells_of_line += offsets
+            # lines past the held ones are in the last planes' rows; those before origin are covered
+            starts = heads[key:][head_offsets[first:]] - origin * m
+            starts[starts >= held * m] += (origin + held - split) * m
+            kept = starts >= 0
+            offsets = last[first:][kept]
+            base = 0
+            cells_of_line = starts[kept] + offsets
         if p + a < w:  # only the line's first ball wraps past 0: mark its tail before the read
             flags[start + m + p + a - w : start + m] = True
         while p < m:
@@ -324,20 +330,8 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
                     if batch[b] + r < m:
                         break
                     np.subtract(idx[b], m, out=idx[b], where=offsets >= m - batch[b])
-                if fast:
-                    flags[idx] = True
-                else:
-                    _mark_held(flags, tail, idx.ravel(), (origin - tail_start) * m)
-        i = _next_unset(flags, start + m)
-
-
-def _mark_held(flags: np.ndarray, tail: np.ndarray, idx: np.ndarray, to_tail: int) -> None:
-    """Set flags[idx], dropping idx < 0 (cells the scan has passed) and moving idx
-    past the held lines to the tail, to_tail further on."""
-    inside = idx < flags.size
-    flags[idx[inside & (idx >= 0)]] = True
-    if not inside.all():
-        tail[idx[~inside] + to_tail] = True
+                flags[idx] = True
+        i = _next_unset(scan, start + m)
 
 
 def _grid_greedy_cover(sample: TorusGridSample, radius: float) -> int:
@@ -452,7 +446,7 @@ def orbit_segment_sample(
     """
     C = lipschitz_constant(f)
     step = radius / (SAFETY * C)
-    npts = int(math.ceil((s_hi - s_lo) / step)) + 1
+    npts = grid_count(s_hi - s_lo, step) + 1
     if npts > MAX_SEGMENT_POINTS:
         raise BudgetExceeded(f"segment sample needs {npts} points, cap is {MAX_SEGMENT_POINTS}")
     h = (s_hi - s_lo) / max(1, npts - 1)

@@ -18,13 +18,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, PrecisionExhausted
+from .errors import BudgetExceeded, PrecisionExhausted, grid_count
 from .precision import as_mpf, mpf_to_fraction, to_fixed_point, ulp_uncertainty
 
 MAX_Q = 10**7  # cap on Q and qmax of the denominator scans
 MAX_SOLVER_POINTS = 2**26
-_CHUNK = 2**20
-_FIRST_BLOCK = 2**14  # kronecker_solve's first block of grid points
+_BLOCK = 2**15  # kronecker_solve's grid points per block, so an early hit costs one small block
 # q per chunk of the denominator scans, so each array temporary is 512 KiB
 _Q_CHUNK = 2**16
 # float64 rounding of the badness bounds, in units of 2**-64 and relative;
@@ -289,17 +288,12 @@ def kronecker_solve(
     lams = np.array([float(l) for l in lambdas], dtype=np.float64)
     kaps = np.array([float(k) for k in kappas], dtype=np.float64)
     step = eps / (2.0 * float(np.max(np.abs(lams))))
-    npts = int(math.floor(tmax / step)) + 1
+    npts = grid_count(tmax, step, math.floor) + 1
     if npts > MAX_SOLVER_POINTS:
         raise BudgetExceeded(f"solver grid needs {npts} points, cap is {MAX_SOLVER_POINTS}")
     two_pi = 2.0 * math.pi
-    # blocks double from _FIRST_BLOCK to _CHUNK points, so an early hit costs a small block
-    start, size = 0, _FIRST_BLOCK
-    while start < npts:
-        k = np.arange(start, min(start + size, npts), dtype=np.float64)
-        start += size
-        size = min(2 * size, _CHUNK)
-        t = k * step
+    for start in range(0, npts, _BLOCK):
+        t = np.arange(start, min(start + _BLOCK, npts), dtype=np.float64) * step
         worst = np.zeros(t.shape, dtype=np.float64)
         for lam, kap in zip(lams, kaps):
             r = np.mod(lam * t - kap, two_pi)

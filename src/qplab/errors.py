@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the counts budgets compare."""
+import math
+
+
+def grid_count(span: float, step: float, rounding=math.ceil) -> int | float:
+    """span / step rounded to a whole count, or inf if no int holds it (as for a step
+    that underflowed to 0): an infinite count still compares above every cap."""
+    x = span / step if step else math.inf
+    return rounding(x) if x < math.inf else math.inf
 
 
 class QplabError(Exception):

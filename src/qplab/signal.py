@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from mpmath import mpf
 
-from .errors import BudgetExceeded, SignalParseError
+from .errors import BudgetExceeded, SignalParseError, grid_count
 from .precision import as_mpf, golden_ratio, sqrt2, sqrt3, two_pi
 
 MAX_ORACLE_POINTS = 2**26
@@ -180,7 +180,7 @@ def sup_oracle(f: QuasiperiodicSignal, tau: float, horizon: float, grid_step: fl
         raise ValueError("horizon must be positive")
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
-    npts = int(math.floor(horizon / grid_step)) + 1
+    npts = grid_count(horizon, grid_step, math.floor) + 1
     if npts > MAX_ORACLE_POINTS:
         raise BudgetExceeded(f"oracle grid needs {npts} points, cap is {MAX_ORACLE_POINTS}")
     # f(t+tau) - f(t) = sum_j B_j e^{i lambda_j t} with B_j = A_j (e^{i lambda_j tau} - 1)

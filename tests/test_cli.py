@@ -155,6 +155,32 @@ def test_budget_exhaustion_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["scan", "--signal", "golden", "--eps", "1e-310", "--window", "0:1"],
+         "scan grid needs inf points, cap is 536870912"),
+        (["dimension", "--signal", "golden", "--eps", "1e-320"],
+         "torus grid needs inf cells, cap is 134217728"),
+        (["kronecker", "--signal", "golden", "--kappa", "0,pi", "--eps", "1e-300", "--tmax", "1e10"],
+         "solver grid needs inf points, cap is 67108864"),
+        # the grid step underflows to 0
+        (["kronecker", "--signal", "golden", "--kappa", "0,pi", "--eps", "1e-323", "--tmax", "1"],
+         "solver grid needs inf points, cap is 67108864"),
+    ],
+)
+def test_grid_too_large_for_an_int_is_budget_exhaustion(argv, message, capsys):
+    assert run_cli(argv) == 2
+    assert capsys.readouterr() == ("", f"budget exhausted: {message}\n")
+
+
+def test_length_curve_grid_too_large_for_an_int_is_unresolved(tmp_path):
+    out = tmp_path / "curve.json"
+    assert run_cli(["length-curve", "--signal", "golden", "--eps", "1e-310", "--out", str(out)]) == 0
+    [sample] = json.loads(out.read_text(encoding="utf-8"))["samples"]
+    assert sample["resolved"] is False and math.isnan(sample["L_upper"])
+
+
 def test_scan_json(tmp_path):
     out = tmp_path / "scan.json"
     code = run_cli(["scan", "--signal", SINGLE, "--eps", "0.1", "--window", "0:3", "--out", str(out)])

@@ -1,8 +1,8 @@
 """Differential gate for the greedy covers of qplab.dimension.
 
 The torus-grid greedy works one line of the last axis at a time, marks a
-line's balls in one scatter, and holds its flags for a sliding window of
-lines; the orbit-segment greedy marks each ball's lag offsets, the k with
+line's balls in one scatter, and holds its flags for a band of lines that
+slides until it meets the grid's last planes; the orbit-segment greedy marks each ball's lag offsets, the k with
 D(k h) below the radius. Both must give exactly the counts
 of the per-ball references kept here: the grid greedy that finds each first
 unset cell and marks one ball at a time (``_grid_mark``, ``_next_unset``, and
@@ -363,58 +363,81 @@ def test_long_line_grid_matches_per_ball(cells, weights, eps):
 # ---------------------------------------------------------------------------
 # the window of held lines
 #
-# The grid greedy holds flags for twice the window of lines that a ball read on
-# a line can mark, or for the whole grid when that is fewer lines; marks that
-# wrap below 0 along axis 0 wait in a tail array until their lines are held.
+# The grid greedy keeps its flags in one buffer: one and a half times the window
+# of lines that a ball read on a line can mark, or the whole grid when that is
+# fewer lines, then the last planes, which marks wrapping below 0 along axis 0 reach. The
+# held lines slide with the scan until they meet the last planes; from then on
+# the buffer holds every line left, in order.
 
 
-def _held_lines(grid, radius, advances):
-    """(held, lines): the lines of flags the grid greedy holds, and the grid's lines."""
+def _layout(grid, radius, advances):
+    """This file's model of the grid greedy's flag buffer for one walk: it holds
+    `held` lines, then lines [split, lines); the held lines slide once the scan
+    is `lead` lines past the first of them."""
     cells = grid.cells
-    window = (advances[0] + _reach(grid, 0, radius) + 1) * math.prod(cells[1:-1])
+    plane = math.prod(cells[1:-1])
+    r0 = _reach(grid, 0, radius)
+    window = (advances[0] + r0 + 1) * plane
+    lead = (window + 1) // 2
     lines = math.prod(cells[:-1])
-    return min(2 * window, lines), lines
+    held = min(window + lead, lines)
+    split = min(lines, max(held, (cells[0] - r0 + advances[0]) * plane))
+    return SimpleNamespace(held=held, split=split, lines=lines, window=window, lead=lead, r0=r0)
 
 
 def _walks(grid, eps):
-    """(held, lines, reach on axis 0) of the cover and of the packing."""
-    advances = (_cover_advances(grid, eps), [0] * len(grid.cells))
-    return [
-        (*_held_lines(grid, radius, adv), _reach(grid, 0, radius))
-        for radius, adv in zip((eps, 2.0 * eps), advances)
-    ]
+    """(radius, advances) of the cover and of the packing."""
+    return [(eps, _cover_advances(grid, eps)), (2.0 * eps, [0] * len(grid.cells))]
 
 
 def _window_grids(kind, count):
     """Seeded grids of one kind:
 
     - "sliding": both walks hold at most an eighth of the lines, so the window
-      slides many times and marks wrapping below 0 pass through the tail;
+      slides many times and marks wrapping below 0 land on the last planes;
+    - "clamped": n = 2 and n = 3 in turn; for a walk, the held lines are apart
+      from the last planes by a distance that is not a multiple of the lines a
+      slide moves, so their last slide is cut short of the scan's line;
+    - "split_in_held": for a walk, the last planes begin inside the first held
+      lines, which hold fewer than all lines: the buffer is the whole grid;
     - "near_wrap": m_0 is 2 r_0 + 2 or 2 r_0 + 3 for a walk, or the reach is m_0/2,
       so the ball nearly wraps or wraps onto itself along axis 0;
-    - "whole": n >= 2, both walks hold the whole grid, and no ball wraps onto itself;
+    - "whole": n >= 2, no walk's grid is longer than two windows, so each walk
+      holds the whole grid or slides its held lines only a little, and no ball
+      wraps onto itself;
     - "line": n = 1.
     """
-    rng = np.random.default_rng({"sliding": 6000, "near_wrap": 6100, "whole": 6200, "line": 6300}[kind])
+    seeds = {"sliding": 6000, "near_wrap": 6100, "whole": 6200, "line": 6300, "clamped": 6400,
+             "split_in_held": 6500}
+    rng = np.random.default_rng(seeds[kind])
     out = []
     while len(out) < count:
-        n = 1 if kind == "line" else int(rng.integers(2, 4))
-        if kind == "sliding":
+        if kind == "line":
+            n = 1
+        elif kind == "clamped":
+            n = 2 + len(out) % 2
+        else:
+            n = int(rng.integers(2, 4))
+        if kind in ("sliding", "clamped"):
             head = int(rng.integers(120, 480)) if n == 2 else int(rng.integers(60, 140))
         else:
             head = int(rng.integers(1, 3000 if n == 1 else 40))
         cells = (head, *(int(m) for m in rng.integers(3, 14, n - 1)))
         weights = None if rng.random() < 0.25 else tuple(float(w) for w in rng.uniform(0.2, 2.0, n))
         scale = 1.0 if weights is None else weights[0]
-        eps = round(float(rng.uniform(0.01, 0.14 if kind == "sliding" else 1.6)) * scale, 4)
+        eps = round(float(rng.uniform(0.01, 0.14 if kind in ("sliding", "clamped") else 1.6)) * scale, 4)
         grid = TorusGridSample(cells=cells, weights=weights)
-        walks = _walks(grid, eps)
+        layouts = [_layout(grid, radius, adv) for radius, adv in _walks(grid, eps)]
         if kind == "sliding":
-            keep = all(8 * held <= lines for held, lines, _ in walks)
+            keep = all(8 * w.held <= w.lines for w in layouts)
+        elif kind == "clamped":
+            keep = any(w.held < w.split < w.lines and (w.split - w.held) % w.lead for w in layouts)
+        elif kind == "split_in_held":
+            keep = any(w.held == w.split < w.lines for w in layouts)
         elif kind == "near_wrap":
-            keep = any(head - 2 * r in (2, 3) or 2 * r == head for _, _, r in walks)
+            keep = any(head - 2 * w.r0 in (2, 3) or 2 * w.r0 == head for w in layouts)
         elif kind == "whole":
-            keep = all(held == lines and 2 * r + 1 <= head for held, lines, r in walks)
+            keep = all(w.lines <= 2 * w.window and 2 * w.r0 + 1 <= head for w in layouts)
         else:
             keep = True
         if keep:
@@ -424,7 +447,10 @@ def _window_grids(kind, count):
 
 WINDOW_GRIDS = [
     (kind, *case)
-    for kind, count in (("sliding", 24), ("near_wrap", 24), ("whole", 12), ("line", 12))
+    for kind, count in (
+        ("sliding", 24), ("near_wrap", 24), ("whole", 12), ("line", 12), ("clamped", 16),
+        ("split_in_held", 12),
+    )
     for case in _window_grids(kind, count)
 ]
 
@@ -433,6 +459,44 @@ WINDOW_GRIDS = [
 def test_window_grid_matches_per_ball(kind, cells, weights, eps):
     grid = TorusGridSample(cells=cells, weights=weights)
     assert grid_counts(grid, eps) == reference_grid_counts(grid, eps)
+
+
+def _scan_calls(monkeypatch, grid, radius, advances):
+    """(flags read, start) of every scan for an unset cell in one walk."""
+    calls = []
+
+    def recording(flat, start, block=512):
+        calls.append((flat.size, start))
+        return _next_unset(flat, start, block)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dimension, "_next_unset", recording)
+        dimension._grid_greedy(grid, radius, advances)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kind,cells,weights,eps", [case for case in WINDOW_GRIDS if case[0] in ("clamped", "split_in_held")]
+)
+def test_window_grid_layout_case_occurs(monkeypatch, kind, cells, weights, eps):
+    grid = TorusGridSample(cells=cells, weights=weights)
+    m = cells[-1]
+    occurs = False
+    for radius, adv in _walks(grid, eps):
+        w = _layout(grid, radius, adv)
+        calls = _scan_calls(monkeypatch, grid, radius, adv)
+        whole = (w.held + w.lines - w.split) * m  # the buffer's cells
+        # the scan reads the held lines until they meet the last planes, then the whole buffer
+        assert calls[0][0] == (w.held * m if w.held < w.split else whole)
+        assert {size for size, _ in calls} <= {w.held * m, whole}
+        if kind == "split_in_held":
+            occurs |= w.held == w.split < w.lines and whole == w.lines * m
+        else:
+            # after a slide cut short of the scan's line, the scan goes on from that
+            # line, one or more lines past the first held line, in the whole buffer
+            after = [start for size, start in calls if size == whole]
+            occurs |= w.held < w.split < w.lines and bool(after) and after[0] >= 2 * m
+    assert occurs
 
 
 @pytest.fixture(scope="module")

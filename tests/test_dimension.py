@@ -243,6 +243,14 @@ def test_orbit_segment_sample_density(golden):
         orbit_segment_sample(golden, -1e5, 1e5, 0.4)
 
 
+@pytest.mark.parametrize("half_length,radius", [(1e10, 1e-300), (1.0, 1e-323)])
+def test_orbit_segment_sample_too_large_for_an_int(golden, half_length, radius):
+    # (s_hi - s_lo) / step overflows to inf, or the step underflows to 0: a budget
+    # error, not an OverflowError or a ZeroDivisionError
+    with pytest.raises(BudgetExceeded, match="^segment sample needs inf points, cap is 16777216$"):
+        orbit_segment_sample(golden, -half_length, half_length, radius)
+
+
 def test_segment_cover_checks_single_term_full_circle(single_term):
     curve = length_curve(single_term, [1.0, 0.5, 0.25])
     lengths = {s.eps: s.L_upper for s in curve.samples}

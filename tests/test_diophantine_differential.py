@@ -4,8 +4,8 @@ badness_score and best_simultaneous_denominator filter each chunk of q by a
 certified uint64 fixed-point bound and recheck only the survivors exactly.
 Both must give exactly the results of the per-q loops they replaced, kept here
 as references: the same (score, argmin_q), ties and exact zeros included, and
-the same smallest q. kronecker_solve evaluates its grid in blocks that double;
-it must return exactly the first hit, or None, of the loop over fixed blocks
+the same smallest q. kronecker_solve evaluates its grid in blocks of _BLOCK
+points; it must return exactly the first hit, or None, of the loop over blocks
 of 2**20 points kept here.
 """
 import math
@@ -330,10 +330,14 @@ def reference_kronecker(lambdas, kappas, eps, tmax):
 
 
 KRONECKER_EPS = 1e-6
-FIRST = diophantine._FIRST_BLOCK
-# first-hit indices: the first point, either side of the first two block ends,
-# past the parent's 2**20-point block, and past the first block capped at _CHUNK
-KRONECKER_HITS = (0, FIRST - 1, FIRST, 3 * FIRST - 1, 2**20 + 5, 127 * FIRST + 2**20 + 7)
+BLOCK = diophantine._BLOCK
+# first-hit indices: the first point, either side of the middle and of the end
+# of the first block, before the middle of the second, the last of the third,
+# either side of the reference's 2**20-point block end, and inside a block past it
+KRONECKER_HITS = (
+    0, BLOCK // 2 - 1, BLOCK // 2, BLOCK - 1, BLOCK, 3 * BLOCK // 2 - 1, 3 * BLOCK - 1,
+    2**20 - 1, 2**20 + 5, 127 * BLOCK // 2 + 2**20 + 7,
+)
 
 
 def _planted_kappas(lams, index):
@@ -353,7 +357,7 @@ def test_kronecker_first_hit_matches_fixed_blocks(index):
     assert round(t / step) == index
 
 
-@pytest.mark.parametrize("npts", [3 * FIRST + 123, 2**20 + 77])
+@pytest.mark.parametrize("npts", [3 * BLOCK // 2 + 123, 3 * BLOCK + 123, 2**20 + 77])
 def test_kronecker_last_point_and_none_match_fixed_blocks(npts):
     # grids that end inside a block: a hit on the last point, then one point short of it
     lams = [float(l) for l in preset("sqrt23").exponents_float]

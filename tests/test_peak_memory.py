@@ -2,9 +2,9 @@
 
 The peak is tracemalloc's, which sees every numpy buffer, plus the length of
 every anonymous mapping made with mmap.mmap meanwhile, which tracemalloc does
-not see. The grid greedy holds its flags for a window of lines, not the
-grid, and kronecker_solve starts with a block of _FIRST_BLOCK points, so both
-peaks stay far below the size of the grids they walk.
+not see. The grid greedy holds its flags for a band of lines and the last
+planes, not the grid, and kronecker_solve evaluates blocks of _BLOCK points,
+so both peaks stay far below the size of the grids they walk.
 """
 import math
 import mmap
@@ -48,5 +48,5 @@ def test_early_kronecker_hit_peak_is_below_2_mib(monkeypatch, sqrt23):
     kaps = [math.fmod(l * 10000.5 * step, 2.0 * math.pi) for l in lams]
     found = []
     peak = peak_bytes(monkeypatch, lambda: found.append(kronecker_solve(lams, kaps, eps, tmax)))
-    assert found[0] is not None and found[0] / step < diophantine._FIRST_BLOCK
+    assert found[0] is not None and found[0] / step < diophantine._BLOCK
     assert peak < 2 * 2**20

@@ -135,6 +135,12 @@ def test_sup_oracle_budget(golden):
         sup_oracle(golden, 1.0, 1e6, 1e-6)
 
 
+def test_sup_oracle_grid_too_large_for_an_int(golden):
+    # horizon / grid_step overflows to inf: a budget error, not an OverflowError
+    with pytest.raises(BudgetExceeded, match="^oracle grid needs inf points, cap is 67108864$"):
+        sup_oracle(golden, 1.0, 1e300, 1e-10)
+
+
 def test_sup_oracle_input_validation(golden):
     with pytest.raises(ValueError):
         sup_oracle(golden, 1.0, -1.0, 0.01)
