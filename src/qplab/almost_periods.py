@@ -111,7 +111,8 @@ def sublevel_scan(
     With C the Lipschitz constant of D and h the actual grid step, a grid
     point with D < eps - C*h certifies the closed step-neighborhood around it
     (inner), and every member of the sublevel set lies within h/2 of a grid
-    point with D < eps + C*h (outer). Requires step <= eps/(4C).
+    point with D < eps + C*h (outer). Requires step <= eps/(4C). A step of 0,
+    which eps/(4C) underflows to for tiny eps, needs more grid points than any cap.
 
     D is evaluated only at grid points within reach of a zero 2*pi*k/|lambda_j|
     of the term with the largest 2|A_j| (ties: smallest |lambda_j|). Elsewhere
@@ -122,8 +123,8 @@ def sublevel_scan(
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if step < 0:
+        raise ValueError("step must not be negative")
     lo, hi = window
     if not hi > lo:
         raise ValueError("window must have positive width")

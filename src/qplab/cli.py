@@ -87,8 +87,9 @@ class RunConfig:
         for name in ("depth", "qmax", "grid", "min_hits", "max_doublings"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if self.tmax is not None and self.tmax <= 0:
-            raise ConfigError("tmax must be positive")
+        for name in ("step", "tmax"):
+            if getattr(self, name) is not None and getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for name, kind in _FIELD_TYPES.items():
@@ -405,9 +406,7 @@ def _cmd_dimension(config: RunConfig) -> int:
         lower, upper = dimension_fit(report)
         payload["lower_dim"] = lower
         payload["upper_dim"] = upper
-    c1, c2 = equivalence_constants(f, 4000, config.seed)
-    payload["c1_est"] = c1
-    payload["c2_est"] = c2
+    payload["c1"], payload["c2"] = equivalence_constants(f)
     _emit(config, payload, columns=("eps", "cover_upper", "packing_lower"), rows=rows)
     return 0
 
@@ -435,7 +434,7 @@ _COMMAND_TABLE = {
              ("signal", "eps", "window", "step", "grid") + _REPORT_FIELDS),
     "length-curve": (_cmd_length_curve, "inclusion-length bounds over an eps ladder",
                      _CURVE_FIELDS + _REPORT_FIELDS),
-    # di-fit does not read seed; it is accepted because the benchmark's tiny workload passes it
+    # di-fit and dimension (below) do not read seed; it is accepted because the benchmark's workloads pass it
     "di-fit": (_cmd_length_curve, "growth exponent of the inclusion length",
                _CURVE_FIELDS + ("seed",) + _REPORT_FIELDS),
     "cf": (_cmd_cf, "continued-fraction expansion with certified quotients",

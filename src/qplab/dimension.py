@@ -69,44 +69,20 @@ def torus_distance(
     return acc
 
 
-def equivalence_constants(
-    f: QuasiperiodicSignal,
-    sample_count: int,
-    seed: int,
-    near_diagonal_scales: Sequence[int] = tuple(range(5, 21)),
-    include_uniform: bool = True,
-) -> tuple[float, float]:
-    """Sampled bounds (C1_est, C2_est) for chord-metric / torus-metric ratios.
+def equivalence_constants(f: QuasiperiodicSignal) -> tuple[float, float]:
+    """Exact bounds C1 <= chord / torus < C2 on the ratio of the two metrics.
 
-    Draws uniform random pairs plus near-diagonal pairs at torus distances
-    2**-k for each k in ``near_diagonal_scales``; returns the min and max of
-    the observed ratio. C1_est staying away from zero as the near-diagonal
-    scale shrinks is the numerical signature of strong equivalence.
+    Both metrics depend only on the difference x of the two points. With w_j
+    the amplitude moduli, fold x != 0 to angles in [-pi, pi]; its torus
+    distance from 0 is M = |x_k| for some k. Since sin(t/2) >= t/pi
+    on [0, pi], the chord metric sum_j 2 w_j |sin(x_j/2)| is at least
+    2 w_k sin(M/2) >= 2 w_k M/pi, with equality at x_k = pi and every other
+    x_j = 0: C1 = 2 min_j w_j / pi. Since |sin(t/2)| <= |t|/2, it is at most
+    sum_j w_j M, approached on the diagonal as M -> 0 and never attained:
+    C2 = sum_j w_j, summed in term order.
     """
-    if sample_count < 100:
-        raise ValueError("sample_count must be at least 100")
-    rng = np.random.default_rng(seed)
-    n = f.n
-    xs, ys = [np.empty((0, n))], [np.empty((0, n))]  # an empty draw concatenates too
-    if include_uniform:
-        xs.append(rng.uniform(0.0, TWO_PI, (sample_count, n)))
-        ys.append(rng.uniform(0.0, TWO_PI, (sample_count, n)))
-    per_scale = max(100, sample_count // max(1, len(near_diagonal_scales)))
-    for k in near_diagonal_scales:
-        x = rng.uniform(0.0, TWO_PI, (per_scale, n))
-        u = rng.uniform(-1.0, 1.0, (per_scale, n))
-        norms = np.abs(u).max(axis=1)
-        norms[norms == 0] = 1.0
-        u /= norms[:, None]
-        xs.append(x)
-        ys.append(x + u * 2.0**-k)
-    x, y = np.concatenate(xs), np.concatenate(ys)
-    torus = torus_distance(x, y)
-    keep = torus > 1e-12
-    if not np.any(keep):
-        raise ValueError("no usable pair sampled")
-    ratio = torus_distance(x[keep], y[keep], f.amplitude_moduli) / torus[keep]
-    return float(ratio.min()), float(ratio.max())
+    w = [float(w) for w in f.amplitude_moduli]
+    return 2.0 * min(w) / math.pi, sum(w)
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +112,10 @@ class TorusGridSample:
 
     @classmethod
     def hull_grid(cls, f: QuasiperiodicSignal, eps: float) -> "TorusGridSample":
-        weights = tuple(float(w) for w in f.amplitude_moduli)
-        c2 = sum(weights)
-        m = grid_count(TWO_PI * SAFETY * c2, eps)
+        m = grid_count(TWO_PI * SAFETY * equivalence_constants(f)[1], eps)
         if m ** f.n > MAX_CELLS:
             raise BudgetExceeded(f"torus grid needs {m ** f.n} cells, cap is {MAX_CELLS}")
-        return cls(cells=(m,) * f.n, weights=weights)
+        return cls(cells=(m,) * f.n, weights=tuple(float(w) for w in f.amplitude_moduli))
 
 
 def _next_unset(flat: np.ndarray, start: int, block: int = 512) -> int:

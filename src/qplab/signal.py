@@ -32,7 +32,7 @@ _TERM_RE = re.compile(
     r"@([+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s*$"
 )
 
-PRESET_NAMES = ("golden", "golden1", "sqrt23")
+PRESET_NAMES = ("golden", "sqrt23")
 
 
 def _float_copies(terms: Sequence[tuple[complex, mpf]]) -> tuple[np.ndarray, np.ndarray]:
@@ -93,7 +93,7 @@ class QuasiperiodicSignal:
 def preset(name: str) -> QuasiperiodicSignal:
     """Named signals built from constants at full working precision."""
     tp = two_pi()
-    if name in ("golden", "golden1"):
+    if name == "golden":
         return QuasiperiodicSignal([(1, tp), (1, tp * golden_ratio())], label=name)
     if name == "sqrt23":
         return QuasiperiodicSignal([(1, tp), (1, tp * sqrt2()), (1, tp * sqrt3())], label=name)

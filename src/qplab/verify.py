@@ -39,41 +39,26 @@ def _check(name: str, passed: bool, **data) -> dict:
     return entry
 
 
-def _metric_identity_check(f: QuasiperiodicSignal, seed: int, count: int = 2000) -> dict:
+def _metric_checks(f: QuasiperiodicSignal, seed: int, count: int = 2000) -> list[dict]:
+    """The metric identity D = chord, and chord/torus inside [C1, C2], on one sample of translates."""
     rng = np.random.default_rng(seed)
     taus = rng.uniform(-100.0, 100.0, count)
     # angles reduced at working precision, independent of D's float products
     angles = np.array([orbit_angles(f, float(tau)) for tau in taus])
-    chord = torus_distance(angles, np.zeros(f.n), f.amplitude_moduli)
+    zero = np.zeros(f.n)
+    chord = torus_distance(angles, zero, f.amplitude_moduli)
     worst = float(np.max(np.abs(translation_distance_many(f, taus) - chord)))
-    return _check(
-        "translation_distance_matches_torus_chord",
-        worst < 1e-12,
-        max_abs_error=worst,
-        samples=count,
-    )
-
-
-def _equivalence_check(f: QuasiperiodicSignal, seed: int) -> dict:
-    c1_all, c2_all = equivalence_constants(f, 4000, seed)
-    scales = (5, 10, 15, 20)
-    per_scale = []
-    for k in scales:
-        c1_k, _ = equivalence_constants(
-            f, 1000, seed * 1000 + k, near_diagonal_scales=(k,), include_uniform=False
-        )
-        per_scale.append(c1_k)
-    mean = sum(per_scale) / len(per_scale)
-    stable = all(0.8 * mean <= v <= 1.2 * mean for v in per_scale)
-    passed = 0.0 < c1_all <= c2_all and stable
-    return _check(
-        "metric_equivalence_constants_stable",
-        passed,
-        c1=c1_all,
-        c2=c2_all,
-        near_diagonal_scales=list(scales),
-        near_diagonal_c1=per_scale,
-    )
+    ratio = chord / torus_distance(angles, zero)
+    lo, hi = float(ratio.min()), float(ratio.max())
+    c1, c2 = equivalence_constants(f)
+    return [
+        _check("translation_distance_matches_torus_chord", worst < 1e-12, max_abs_error=worst, samples=count),
+        _check(
+            "metric_equivalence_bounds",
+            c1 * (1.0 - 1e-12) <= lo and hi <= c2 * (1.0 + 1e-12),
+            c1=c1, c2=c2, ratio_min=lo, ratio_max=hi,
+        ),
+    ]
 
 
 def _samples(curve: LengthCurve) -> list[dict]:
@@ -199,10 +184,7 @@ def _phase_alignment_check() -> dict:
 def golden_suite(seed: int = 7) -> list[dict]:
     """Full verification battery for the two-harmonic golden-ratio signal."""
     f = preset("golden")
-    checks = [
-        _metric_identity_check(f, seed),
-        _equivalence_check(f, seed),
-    ]
+    checks = _metric_checks(f, seed)
     curve = length_curve(f, GOLDEN_EPS_LADDER)
     checks.append(_growth_exponent_check(curve, SLOPE_BAND_GOLDEN))
     checks.append(_inclusion_length_spot_check(curve))
@@ -219,7 +201,7 @@ def golden_suite(seed: int = 7) -> list[dict]:
 def sqrt23_suite(seed: int = 7) -> list[dict]:
     """Growth-exponent floor for the three-harmonic sqrt(2)/sqrt(3) signal."""
     f = preset("sqrt23")
-    checks = [_metric_identity_check(f, seed, count=500)]
+    checks = _metric_checks(f, seed, count=500)
     curve = length_curve(f, SQRT23_EPS_LADDER)
     checks.append(_growth_floor_check(curve, SLOPE_FLOOR_SQRT23))
     return checks

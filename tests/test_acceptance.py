@@ -17,13 +17,13 @@ import pytest
 
 from qplab.almost_periods import fit_exponent, length_curve
 from qplab.cli import main as cli_main
-from qplab.dimension import dimension_fit, equivalence_constants, hull_dimension_report
+from qplab.dimension import dimension_fit, equivalence_constants, hull_dimension_report, torus_distance
 from qplab.diophantine import badness_score
 from qplab.precision import golden_ratio, sqrt2
 from qplab.signal import QuasiperiodicSignal, preset, sup_oracle, translation_distance
 from qplab.verify import (
     _aligned_denominator_check,
-    _metric_identity_check,
+    _metric_checks,
     _phase_alignment_check,
     _quotients_check,
     _segment_cover_check,
@@ -70,23 +70,33 @@ def test_criterion_1_closed_form_vs_oracle(golden):
 
 
 def test_criterion_2_metric_identity_and_equivalence(golden):
-    worst = _metric_identity_check(golden, 11, count=10**4)["max_abs_error"]
+    identity, bounds = _metric_checks(golden, 11, count=10**4)
+    worst = identity["max_abs_error"]
     assert worst <= 1e-12
-    c1, c2 = equivalence_constants(golden, 4000, seed=11)
-    assert 0.0 < c1 <= c2
+    c1, c2 = equivalence_constants(golden)
+    w = golden.amplitude_moduli
+
+    def ratio(x, y):
+        return torus_distance(x, y, w) / torus_distance(x, y)
+
+    zero = np.zeros(2)
+    attained = ratio(np.array([math.pi, 0.0]), zero) == c1
+    approached = 0.0 < c2 - ratio(np.full(2, 2.0**-20), zero) < 1e-6
+    # near-diagonal pairs keep the ratio inside [C1, C2] as their distance shrinks
+    rng = np.random.default_rng(11)
     per_scale = []
     for k in (5, 8, 11, 14, 17, 20):
-        c1_k, _ = equivalence_constants(
-            golden, 1000, seed=11000 + k, near_diagonal_scales=(k,), include_uniform=False
-        )
-        per_scale.append(c1_k)
-    mean = sum(per_scale) / len(per_scale)
-    stable = all(0.8 * mean <= v <= 1.2 * mean for v in per_scale)
+        x = rng.uniform(0.0, 2 * math.pi, (1000, 2))
+        u = rng.uniform(-1.0, 1.0, (1000, 2))
+        r = ratio(x, x + u / np.abs(u).max(axis=1)[:, None] * 2.0**-k)
+        per_scale.append((float(r.min()), float(r.max())))
+    inside = all(c1 <= lo and hi <= c2 for lo, hi in per_scale)
     conclude(
         "criterion 2 (metric identity + equivalence)",
-        stable,
-        f"max identity error {worst:.2e}, c1={c1:.3f}, c2={c2:.3f}, "
-        f"near-diagonal c1 range [{min(per_scale):.3f}, {max(per_scale):.3f}]",
+        bounds["passed"] and attained and approached and inside,
+        f"max identity error {worst:.2e}, c1={c1:.4f} attained, c2={c2:.4f} approached, "
+        f"sample ratios [{bounds['ratio_min']:.4f}, {bounds['ratio_max']:.4f}], near-diagonal "
+        f"[{min(lo for lo, _ in per_scale):.4f}, {max(hi for _, hi in per_scale):.4f}]",
     )
 
 

@@ -167,6 +167,8 @@ def test_budget_exhaustion_exit_code(capsys):
         # the grid step underflows to 0
         (["kronecker", "--signal", "golden", "--kappa", "0,pi", "--eps", "1e-323", "--tmax", "1"],
          "solver grid needs inf points, cap is 67108864"),
+        (["scan", "--signal", "golden", "--eps", "1e-322", "--window", "0:1"],
+         "scan grid needs inf points, cap is 536870912"),
     ],
 )
 def test_grid_too_large_for_an_int_is_budget_exhaustion(argv, message, capsys):
@@ -176,9 +178,18 @@ def test_grid_too_large_for_an_int_is_budget_exhaustion(argv, message, capsys):
 
 def test_length_curve_grid_too_large_for_an_int_is_unresolved(tmp_path):
     out = tmp_path / "curve.json"
-    assert run_cli(["length-curve", "--signal", "golden", "--eps", "1e-310", "--out", str(out)]) == 0
-    [sample] = json.loads(out.read_text(encoding="utf-8"))["samples"]
-    assert sample["resolved"] is False and math.isnan(sample["L_upper"])
+    # at 1e-323 the scan step eps/(4C) underflows to 0
+    for eps in ("1e-310", "1e-323"):
+        assert run_cli(["length-curve", "--signal", "golden", "--eps", eps, "--out", str(out)]) == 0
+        [sample] = json.loads(out.read_text(encoding="utf-8"))["samples"]
+        assert sample["resolved"] is False and math.isnan(sample["L_upper"])
+
+
+@pytest.mark.parametrize("step", ["0", "-0.01"])
+def test_nonpositive_step_is_an_input_error(step, capsys):
+    argv = ["scan", "--signal", "golden", "--eps", "0.1", "--window", "0:1", "--step", step]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == "error: step must be positive\n"
 
 
 def test_scan_json(tmp_path):
@@ -279,7 +290,19 @@ def test_dimension_json(tmp_path):
     assert len(payload["counts"]) == 4
     assert payload["lower_dim"] == pytest.approx(1.0, abs=0.15)
     assert payload["upper_dim"] == pytest.approx(1.0, abs=0.15)
-    assert 0 < payload["c1_est"] <= payload["c2_est"]
+    assert (payload["c1"], payload["c2"]) == (2.0 / math.pi, 1.0)
+
+
+def test_dimension_report_does_not_read_seed(tmp_path):
+    reports = []
+    out = tmp_path / "dim.json"
+    for seed in ("1", "2"):
+        assert run_cli(["dimension", "--signal", "golden", "--eps", "0.5", "--seed", seed, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert payload["config"].pop("seed") == int(seed)
+        reports.append(payload)
+    assert reports[0] == reports[1]
+    assert (reports[0]["c1"], reports[0]["c2"]) == (2.0 / math.pi, 2.0)
 
 
 def test_dimension_unordered_eps_is_a_usage_error(monkeypatch, capsys):

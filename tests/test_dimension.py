@@ -111,23 +111,24 @@ def test_metric_axioms(golden):
 
 
 def test_equivalence_constants_single_term(single_term):
-    c1, c2 = equivalence_constants(single_term, 3000, seed=7)
-    assert c1 >= 2 / math.pi - 0.01
-    assert c2 <= 1.01
-    assert c1 <= c2
+    # one term of modulus 1: chord = 2|sin(x/2)| against torus |x|, x in [-pi, pi]
+    c1, c2 = equivalence_constants(single_term)
+    assert (c1, c2) == (2 / math.pi, 1.0)
+    x = np.linspace(1e-6, math.pi, 10001)[:, None]
+    ratio = torus_distance(x, np.zeros(1), single_term.amplitude_moduli) / torus_distance(x, np.zeros(1))
+    assert c1 <= ratio.min() and ratio.max() < c2
 
 
 def test_equivalence_constants_golden_positive_at_fine_scales(golden):
-    c1, c2 = equivalence_constants(
-        golden, 1000, seed=3, near_diagonal_scales=(20,), include_uniform=False
-    )
-    assert c1 > 0.5
-    assert c2 <= 2.0 + 1e-9
-
-
-def test_equivalence_constants_validation(golden):
-    with pytest.raises(ValueError):
-        equivalence_constants(golden, 10, seed=1)
+    # the closed forms hold the ratio of a pair at torus distance 2**-20
+    c1, c2 = equivalence_constants(golden)
+    assert (c1, c2) == (2 / math.pi, 2.0)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.0, 2 * math.pi, (1000, 2))
+    u = rng.uniform(-1.0, 1.0, (1000, 2))
+    y = x + u / np.abs(u).max(axis=1)[:, None] * 2.0**-20
+    ratio = torus_distance(x, y, golden.amplitude_moduli) / torus_distance(x, y)
+    assert c1 < ratio.min() and ratio.max() <= c2
 
 
 def test_covering_single_point():

@@ -1,9 +1,11 @@
 """Differential gate: each single implementation against the scalar loop it replaced.
 
-D, the signal value, the chord and sup metrics, the log-log slope and the
-sampled equivalence constants each have one implementation in qplab. The
-loops below are the implementations they replaced, kept as references. Where
-the arithmetic is the same, results must be equal bit for bit.
+D, the signal value, the chord and sup metrics and the log-log slope each
+have one implementation in qplab. The loops below are the implementations
+they replaced, kept as references. Where the arithmetic is the same, results
+must be equal bit for bit. The sampled equivalence constants, replaced by
+closed forms, are kept the same way: every ratio they draw must lie between
+the closed forms.
 """
 import math
 
@@ -164,19 +166,31 @@ def test_loglog_fit_matches_old_slope(counts):
 EQUIVALENCE_SIGNALS = ["golden", "sqrt23", *[(seed, n) for seed in (5, 6) for n in (1, 2, 3)]]
 
 
+def equivalence_signal(which):
+    return preset(which) if isinstance(which, str) else seeded_signal(*which)[0]
+
+
 @pytest.mark.parametrize("which", EQUIVALENCE_SIGNALS)
 @pytest.mark.parametrize("include_uniform", [True, False])
 def test_equivalence_constants_match_per_group_loop(which, include_uniform):
-    f = preset(which) if isinstance(which, str) else seeded_signal(*which)[0]
+    """The closed forms bound every ratio the per-group sampling loop draws."""
+    f = equivalence_signal(which)
+    c1, c2 = equivalence_constants(f)
     for seed in (7, 11, 1234):
-        for scales in (tuple(range(5, 21)), (5, 10, 15, 20), (12,), (3, 30)):
-            for sample_count in (100, 4000):
-                args = (f, sample_count, seed, scales, include_uniform)
-                assert equivalence_constants(*args) == ref_equivalence_constants(*args)
+        for scales in (tuple(range(3, 31)), (5, 10, 15, 20), (12,), (3, 30)):
+            lo, hi = ref_equivalence_constants(f, 4000, seed, scales, include_uniform)
+            assert c1 <= lo and hi <= c2
 
 
-def test_equivalence_constants_without_usable_pair(golden):
-    for scales in ((), (45,), (45, 50)):
-        for fn in (equivalence_constants, ref_equivalence_constants):
-            with pytest.raises(ValueError, match="no usable pair sampled"):
-                fn(golden, 1000, 7, scales, False)
+@pytest.mark.parametrize("which", EQUIVALENCE_SIGNALS)
+def test_equivalence_constants_are_sharp(which):
+    f = equivalence_signal(which)
+    c1, c2 = equivalence_constants(f)
+    w = f.amplitude_moduli
+    zero = np.zeros(f.n)
+    # C1 is attained at pi on an axis of least modulus, 0 on the others
+    point = np.where(np.arange(f.n) == int(np.argmin(w)), math.pi, 0.0)
+    assert torus_distance(point, zero, w) / torus_distance(point, zero) == c1
+    # C2 is approached on the diagonal near 0
+    point = np.full(f.n, 2.0**-20)
+    assert 0.0 < c2 - torus_distance(point, zero, w) / torus_distance(point, zero) < 1e-6
