@@ -174,8 +174,10 @@ def _near_zeros(
     k0 = math.floor((lo + first * h - reach) / period)
     k1 = math.ceil((lo + last * h + reach) / period)
     z = np.arange(k0, k1 + 1, dtype=np.float64) * period
-    s = np.maximum(np.ceil((z - reach - lo) / h), first).astype(np.int64)
-    e = np.minimum(np.floor((z + reach - lo) / h), last).astype(np.int64)
+    # a subnormal h sends far blocks to +-inf; clipped for the cast, they keep s > e
+    with np.errstate(over="ignore"):
+        s = np.clip(np.ceil((z - reach - lo) / h), first, last + 1).astype(np.int64)
+        e = np.clip(np.floor((z + reach - lo) / h), first - 1, last).astype(np.int64)
     keep = s <= e
     s, e = s[keep], e[keep]
     if s.size == 0:

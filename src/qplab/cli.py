@@ -252,6 +252,8 @@ def _flat_config(config: RunConfig) -> dict:
 def _cmd_eval(config: RunConfig) -> int:
     _require(config, "signal", "t")
     f = _parse_signal_checked(config.signal)
+    if not all(math.isfinite(lam * config.t) for lam in f.exponents_float.tolist()):
+        raise ConfigError(f"lambda_j * t overflows float64 at t = {config.t!r}")
     value = evaluate(f, config.t)
     payload = {
         "t": config.t,

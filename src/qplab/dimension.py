@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from mpmath import mpf
@@ -34,8 +34,6 @@ MAX_CELLS = 2**27
 MAX_SEGMENT_POINTS = 2**24
 # hull grids and orbit segments are SAFETY times finer than the radius needs
 SAFETY = 4.0
-# multiplicative slack of the segment-cover inequalities
-SEGMENT_SLACK = 2.0
 _SCATTER_CHUNK = 2**14  # grid greedy: flat indices per scatter, cells per window of a line
 
 
@@ -405,7 +403,7 @@ def hull_dimension_report(f: QuasiperiodicSignal, eps_list: Sequence[float]) -> 
 
 
 # ---------------------------------------------------------------------------
-# orbit-segment covering checks
+# orbit segments
 
 
 def orbit_segment_sample(
@@ -425,68 +423,3 @@ def orbit_segment_sample(
         raise BudgetExceeded(f"segment sample needs {npts} points, cap is {MAX_SEGMENT_POINTS}")
     h = (s_hi - s_lo) / max(1, npts - 1)
     return translation_distance_many(f, np.arange(npts, dtype=np.float64) * h)
-
-
-@dataclass(frozen=True)
-class SegmentCoverChecks:
-    """Raw counts and pass flags for the segment-vs-hull covering comparisons."""
-
-    segment_count_2eps: int
-    segment_count_eps: int
-    segment_count_half_eps: int
-    hull_count_eps: int
-    count_bound: float
-    slack: float
-    sandwich_lower_ok: bool
-    sandwich_upper_ok: bool
-    count_bound_ok: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return self.sandwich_lower_ok and self.sandwich_upper_ok and self.count_bound_ok
-
-
-def segment_cover_checks(
-    f: QuasiperiodicSignal,
-    eps: float,
-    inclusion_lengths: Mapping[float, float],
-) -> SegmentCoverChecks:
-    """Compare orbit-segment covering counts with the full-hull count at eps.
-
-    The segment at scale r is {translate(s) : |s| <= L(r/2)}, with L taken
-    from ``inclusion_lengths`` (keys eps, eps/2, eps/4 required). Checks, up
-    to the factor SEGMENT_SLACK: segment count at 2*eps <= hull count at eps
-    <= segment count at eps/2, and the segment count at eps stays below
-    2*L(eps/2)/delta + 1 for delta = (eps/2)/C. Reports numbers and flags,
-    never raises on a violated inequality.
-    """
-    required = (eps, eps / 2.0, eps / 4.0)
-    missing = [k for k in required if k not in inclusion_lengths]
-    if missing:
-        raise ValueError(f"inclusion lengths required at scales {missing}")
-    C = lipschitz_constant(f)
-
-    def segment_count(ball_radius: float, half_length: float) -> int:
-        sample = orbit_segment_sample(f, -half_length, half_length, ball_radius)
-        return _points_greedy_cover(sample, ball_radius)
-
-    L_eps = inclusion_lengths[eps]
-    L_half = inclusion_lengths[eps / 2.0]
-    L_quarter = inclusion_lengths[eps / 4.0]
-    seg_2eps = segment_count(2.0 * eps, L_eps)
-    seg_eps = segment_count(eps, L_half)
-    seg_half = segment_count(eps / 2.0, L_quarter)
-    hull_eps = _grid_greedy_cover(TorusGridSample.hull_grid(f, eps), eps)
-    delta_half = (eps / 2.0) / C
-    bound = 2.0 * L_half / delta_half + 1.0
-    return SegmentCoverChecks(
-        segment_count_2eps=seg_2eps,
-        segment_count_eps=seg_eps,
-        segment_count_half_eps=seg_half,
-        hull_count_eps=hull_eps,
-        count_bound=bound,
-        slack=SEGMENT_SLACK,
-        sandwich_lower_ok=seg_2eps <= SEGMENT_SLACK * hull_eps,
-        sandwich_upper_ok=hull_eps <= SEGMENT_SLACK * seg_half,
-        count_bound_ok=seg_eps <= SEGMENT_SLACK * bound,
-    )

@@ -7,7 +7,7 @@ functions of (suite, seed), which makes reports byte-reproducible.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -19,9 +19,17 @@ from .diophantine import (
     kronecker_residuals,
     kronecker_solve,
 )
-from .dimension import equivalence_constants, orbit_angles, segment_cover_checks, torus_distance
+from .dimension import (
+    TorusGridSample,
+    _grid_greedy_cover,
+    _points_greedy_cover,
+    equivalence_constants,
+    orbit_angles,
+    orbit_segment_sample,
+    torus_distance,
+)
 from .precision import golden_ratio, sqrt2, two_pi
-from .signal import QuasiperiodicSignal, preset, translation_distance_many
+from .signal import QuasiperiodicSignal, lipschitz_constant, preset, translation_distance_many
 
 GOLDEN_EPS_LADDER = tuple(0.4 * 2.0**-k for k in range(8))
 SQRT23_EPS_LADDER = tuple(0.8 * 2.0**-k for k in range(6))
@@ -31,6 +39,8 @@ SLOPE_FLOOR_SQRT23 = 1.7
 # scan and the uniform-norm oracle (the set contains the q/phi family, e.g.
 # D(34/phi) = D(34) = 0.0826, so the measured gap is 33.98, close to 34)
 INCLUSION_LENGTH_BAND_AT_0_1 = (30.0, 40.0)
+# multiplicative slack of the segment-cover inequalities
+SEGMENT_SLACK = 2.0
 
 
 def _check(name: str, passed: bool, **data) -> dict:
@@ -105,19 +115,32 @@ def _inclusion_length_spot_check(curve: LengthCurve) -> dict:
     )
 
 
-def _segment_cover_check(f: QuasiperiodicSignal, eps: float, lengths: dict) -> dict:
-    rep = segment_cover_checks(f, eps, lengths)
-    return _check(
-        f"segment_cover_sandwich_eps_{eps:g}",
-        rep.all_ok,
-        eps=eps,
-        segment_count_2eps=rep.segment_count_2eps,
-        hull_count_eps=rep.hull_count_eps,
-        segment_count_half_eps=rep.segment_count_half_eps,
-        segment_count_eps=rep.segment_count_eps,
-        count_bound=rep.count_bound,
-        slack=rep.slack,
-    )
+def _segment_cover_checks(f: QuasiperiodicSignal, lengths: dict, scales: Sequence[float]) -> list[dict]:
+    """Compare orbit-segment covering counts with the full-hull count, one check per scale eps.
+
+    g(r) counts the greedy cover at radius r of the segment {translate(s) :
+    |s| <= L(r/2)}, with L from ``lengths``. The check at eps holds when, up to
+    the factor SEGMENT_SLACK, g(2 eps) <= hull count at eps <= g(eps/2), and
+    g(eps) stays below 2 L(eps/2)/delta + 1 for delta = (eps/2)/C. Scales a
+    factor 2 or 4 apart share radii, so each g(r) is computed once. Reports
+    numbers and flags, never raises on a violated inequality.
+    """
+    g = {}
+    for r in dict.fromkeys(r for eps in scales for r in (2.0 * eps, eps, eps / 2.0)):
+        g[r] = _points_greedy_cover(orbit_segment_sample(f, -lengths[r / 2.0], lengths[r / 2.0], r), r)
+    C = lipschitz_constant(f)
+    checks = []
+    for eps in scales:
+        hull = _grid_greedy_cover(TorusGridSample.hull_grid(f, eps), eps)
+        bound = 2.0 * lengths[eps / 2.0] / ((eps / 2.0) / C) + 1.0
+        lower, upper = g[2.0 * eps], g[eps / 2.0]
+        checks.append(_check(
+            f"segment_cover_sandwich_eps_{eps:g}",
+            lower <= SEGMENT_SLACK * hull and hull <= SEGMENT_SLACK * upper and g[eps] <= SEGMENT_SLACK * bound,
+            eps=eps, segment_count_2eps=lower, hull_count_eps=hull, segment_count_half_eps=upper,
+            segment_count_eps=g[eps], count_bound=bound, slack=SEGMENT_SLACK,
+        ))
+    return checks
 
 
 def _quotients_check() -> dict:
@@ -189,8 +212,7 @@ def golden_suite(seed: int = 7) -> list[dict]:
     checks.append(_growth_exponent_check(curve, SLOPE_BAND_GOLDEN))
     checks.append(_inclusion_length_spot_check(curve))
     lengths = {s.eps: s.L_upper for s in curve.samples}
-    for eps in (0.4, 0.2):
-        checks.append(_segment_cover_check(f, eps, lengths))
+    checks.extend(_segment_cover_checks(f, lengths, (0.4, 0.2)))
     checks.append(_quotients_check())
     checks.append(_badness_check())
     checks.append(_aligned_denominator_check())

@@ -26,7 +26,7 @@ from qplab.verify import (
     _metric_checks,
     _phase_alignment_check,
     _quotients_check,
-    _segment_cover_check,
+    _segment_cover_checks,
 )
 
 
@@ -120,8 +120,7 @@ def test_criterion_4_sandwich_and_count_bound(golden, golden_ladder):
     curve, _ = golden_ladder
     lengths = {s.eps: s.L_upper for s in curve.samples}
     results = {}
-    for eps in (0.4, 0.2):
-        r = _segment_cover_check(golden, eps, lengths)
+    for eps, r in zip((0.4, 0.2), _segment_cover_checks(golden, lengths, (0.4, 0.2))):
         results[eps] = r
         assert r["slack"] == 2.0
         assert r["segment_count_2eps"] <= 2.0 * r["hull_count_eps"], (

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,17 @@ def test_scan_eps_above_diameter(golden):
     eps = 3.0 * 2.0 * float(np.sum(golden.amplitude_moduli))
     scan = sublevel_scan(golden, eps, (0.0, 5.0), certified_step(golden, eps))
     assert scan.inner == ((0.0, 5.0),)
+    assert inclusion_length(scan) == (0.0, 0.0)
+
+
+def test_scan_subnormal_window(golden):
+    # with a subnormal grid step the zeros of the leading term far from the window
+    # sit at grid indices beyond int64; they are clipped to the chunk before the cast
+    eps = 0.4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scan = sublevel_scan(golden, eps, (0.0, 1e-320), certified_step(golden, eps))
+    assert scan.inner == scan.outer == ((0.0, 1e-320),)
     assert inclusion_length(scan) == (0.0, 0.0)
 
 

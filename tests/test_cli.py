@@ -136,6 +136,21 @@ def test_eval_csv(tmp_path):
     assert [float(v) for v in lines[1].split(",")][1] == pytest.approx(-1.0)
 
 
+@pytest.mark.parametrize("t", ["1e308", "-1e308", "1.77e307"])
+def test_eval_overflowing_phase_is_input_error(t, capsys):
+    # lambda_j * t is inf in float64 for the golden exponent 2*pi*phi, though t is finite
+    assert run_cli(["eval", "--signal", "golden", f"--t={t}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: lambda_j * t overflows float64 at t = {float(t)!r}\n"
+
+
+def test_eval_largest_phases_stay_finite(capsys):
+    assert run_cli(["eval", "--signal", "golden", "--t", "1.76e307"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert all(math.isfinite(payload[k]) for k in ("re", "im", "abs"))
+
+
 def test_missing_signal_is_input_error(capsys):
     assert run_cli(["eval", "--t", "1.0"]) == 1
     assert "requires --signal" in capsys.readouterr().err

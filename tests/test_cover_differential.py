@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qplab import dimension
+from qplab import dimension, verify
 from qplab.almost_periods import length_curve
 from qplab.dimension import (
     TorusGridSample,
@@ -536,14 +536,15 @@ def test_grid_metric_matches_references_bitwise(golden, sqrt23):
 # orbit-segment cases
 
 
-def _golden_segments(golden):
-    """The (radius, half length) of the six segment covers of the golden suite."""
-    lengths = {s.eps: s.L_upper for s in length_curve(golden, GOLDEN_EPS_LADDER).samples}
-    calls = []
-    for eps in (0.4, 0.2):
-        for radius, scale in ((2.0 * eps, eps), (eps, eps / 2.0), (eps / 2.0, eps / 4.0)):
-            calls.append((radius, lengths[scale]))
-    return calls
+# radii of the golden suite's segment covers: 2 eps, eps and eps/2 for eps = 0.4
+# and 0.2, where the two scales share 0.4 and 0.2; the cover at radius r holds
+# the translates with |s| <= L(r/2)
+GOLDEN_RADII = (0.8, 0.4, 0.2, 0.1)
+
+
+@pytest.fixture(scope="module")
+def golden_lengths(golden):
+    return {s.eps: s.L_upper for s in length_curve(golden, GOLDEN_EPS_LADDER).samples}
 
 
 def _random_signal(seed: int) -> QuasiperiodicSignal:
@@ -554,9 +555,9 @@ def _random_signal(seed: int) -> QuasiperiodicSignal:
     return QuasiperiodicSignal(list(zip(amps, lams)), label=f"random{seed}")
 
 
-def _segment_samples(golden, sqrt23):
+def _segment_samples(golden, sqrt23, golden_lengths):
     """(lag sample, float rows, radius) of the golden suite, sqrt23 and seeded random segments."""
-    cases = [(golden, -L, L, r) for r, L in dict.fromkeys(_golden_segments(golden))]
+    cases = [(golden, -golden_lengths[r / 2.0], golden_lengths[r / 2.0], r) for r in GOLDEN_RADII]
     cases += [(sqrt23, -L, L, r) for r, L in ((0.8, 12.0), (0.4, 8.0), (0.2, 4.0))]
     for seed in range(8):
         f = _random_signal(seed)
@@ -570,18 +571,36 @@ def _segment_samples(golden, sqrt23):
 
 
 @pytest.fixture(scope="module")
-def segment_samples(golden, sqrt23):
-    return _segment_samples(golden, sqrt23)
+def segment_samples(golden, sqrt23, golden_lengths):
+    return _segment_samples(golden, sqrt23, golden_lengths)
 
 
-def test_golden_suite_segment_counts(golden, segment_samples):
-    calls = _golden_segments(golden)
-    assert len(calls) == 6 and len(set(calls)) == 4  # two calls repeat a sample
-    counts = {}
+def test_golden_suite_segment_counts(segment_samples):
+    counts = []
     for sample, rows, r in segment_samples[:4]:
-        counts[r] = _points_greedy_cover(sample, r)
-        assert counts[r] == reference_points_cover(rows, r)
-    assert [counts[r] for r, _ in calls] == [74, 327, 1063, 327, 1063, 5556]
+        counts.append(_points_greedy_cover(sample, r))
+        assert counts[-1] == reference_points_cover(rows, r)
+    assert counts == [74, 327, 1063, 5556]
+
+
+def test_golden_suite_sandwich_checks(golden, golden_lengths, monkeypatch):
+    radii = []
+
+    def counted(sample, radius):
+        radii.append(radius)
+        return _points_greedy_cover(sample, radius)
+
+    monkeypatch.setattr(verify, "_points_greedy_cover", counted)
+    checks = verify._segment_cover_checks(golden, golden_lengths, (0.4, 0.2))
+    assert radii == list(GOLDEN_RADII)  # one cover per distinct radius
+    assert checks == [
+        {"name": "segment_cover_sandwich_eps_0.4", "passed": True, "eps": 0.4,
+         "segment_count_2eps": 74, "hull_count_eps": 196, "segment_count_half_eps": 1063,
+         "segment_count_eps": 327, "count_bound": 2133.947186117383, "slack": 2.0},
+        {"name": "segment_cover_sandwich_eps_0.2", "passed": True, "eps": 0.2,
+         "segment_count_2eps": 327, "hull_count_eps": 784, "segment_count_half_eps": 5556,
+         "segment_count_eps": 1063, "count_bound": 11181.435560905507, "slack": 2.0},
+    ]
 
 
 def test_segment_covers_match_all_rows(segment_samples):

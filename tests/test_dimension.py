@@ -12,7 +12,6 @@ from qplab.dimension import (
     dimension_fit,
     equivalence_constants,
     hull_dimension_report,
-    segment_cover_checks,
     orbit_angles,
     orbit_segment_sample,
     torus_distance,
@@ -20,6 +19,7 @@ from qplab.dimension import (
 from qplab.errors import BudgetExceeded, GridTooCoarse, TooFewScales
 from qplab.almost_periods import length_curve
 from qplab.signal import QuasiperiodicSignal, translation_distance
+from qplab.verify import _segment_cover_checks
 
 # 2*pi*(phi - 1) at 200 bits
 GOLDEN_ANGLE_S1 = 3.883222077450933
@@ -255,34 +255,30 @@ def test_orbit_segment_sample_too_large_for_an_int(golden, half_length, radius):
 def test_segment_cover_checks_single_term_full_circle(single_term):
     curve = length_curve(single_term, [1.0, 0.5, 0.25])
     lengths = {s.eps: s.L_upper for s in curve.samples}
-    rep = segment_cover_checks(single_term, 1.0, lengths)
-    assert rep.all_ok
+    [check] = _segment_cover_checks(single_term, lengths, (1.0,))
+    assert check["passed"]
     # the segment at radius 1 wraps the whole circle: its count matches the
     # circle covering count at chord radius 1 (arcs of half-angle 2*asin(1/2))
     grid = TorusGridSample.hull_grid(single_term, 1.0)
     circle_cover, _ = covering_number(grid, 1.0)
-    assert abs(rep.segment_count_eps - circle_cover) <= 2
+    assert abs(check["segment_count_eps"] - circle_cover) <= 2
 
 
 def test_segment_cover_checks_golden(golden):
     curve = length_curve(golden, [0.4, 0.2, 0.1])
     lengths = {s.eps: s.L_upper for s in curve.samples}
-    rep = segment_cover_checks(golden, 0.4, lengths)
-    assert rep.sandwich_lower_ok
-    assert rep.sandwich_upper_ok
-    assert rep.count_bound_ok
+    [check] = _segment_cover_checks(golden, lengths, (0.4,))
+    assert check["segment_count_2eps"] <= check["slack"] * check["hull_count_eps"]
+    assert check["hull_count_eps"] <= check["slack"] * check["segment_count_half_eps"]
+    assert check["segment_count_eps"] <= check["slack"] * check["count_bound"]
+    assert check["passed"]
 
 
 def test_segment_cover_checks_trivial_above_diameter(golden):
     eps = 5.0  # above the diameter 2*sum|A| = 4
     curve = length_curve(golden, [eps / 4])
     lengths = {eps: 0.0, eps / 2: 0.0, eps / 4: curve.samples[0].L_upper}
-    rep = segment_cover_checks(golden, eps, lengths)
-    assert rep.segment_count_2eps == 1
-    assert rep.hull_count_eps == 1
-    assert rep.all_ok
-
-
-def test_segment_cover_checks_requires_all_scales(golden):
-    with pytest.raises(ValueError):
-        segment_cover_checks(golden, 0.4, {0.4: 10.0, 0.2: 20.0})
+    [check] = _segment_cover_checks(golden, lengths, (eps,))
+    assert check["segment_count_2eps"] == 1
+    assert check["hull_count_eps"] == 1
+    assert check["passed"]
