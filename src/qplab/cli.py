@@ -87,7 +87,7 @@ class RunConfig:
         for name in ("depth", "qmax", "grid", "min_hits", "max_doublings"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("step", "tmax"):
+        for name in ("step", "tmax", "initial_width"):
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.seed < 0:

@@ -13,7 +13,7 @@ import re
 from typing import Iterable, Sequence
 
 import numpy as np
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from .errors import BudgetExceeded, SignalParseError, grid_count
 from .precision import as_mpf, golden_ratio, sqrt2, sqrt3, two_pi
@@ -22,8 +22,6 @@ MAX_ORACLE_POINTS = 2**26
 # search box and tolerance of suspected_rational_relation
 RELATION_MAX_COEFF = 6
 RELATION_REL_TOL = 1e-9
-# float64 rounding of its relation filter, relative to max|lambda|; derived there
-_RELATION_MARGIN = 2.0**-40
 _CHUNK = 2**21
 
 _TERM_RE = re.compile(
@@ -199,49 +197,24 @@ def sup_oracle(f: QuasiperiodicSignal, tau: float, horizon: float, grid_step: fl
 def suspected_rational_relation(exponents: Sequence[object]) -> tuple[int, ...] | None:
     """Small-integer-relation heuristic for the exponent list.
 
-    Returns coefficients c_j in [-RELATION_MAX_COEFF, RELATION_MAX_COEFF] with
-    |sum c_j lambda_j| < RELATION_REL_TOL * max|lambda| if any exist, else
-    None; of several, the first in itertools.product order whose first nonzero
-    coefficient is positive. A heuristic warning only: absence of a small
-    relation certifies nothing.
-
-    The tuples are filtered in float64 on x_j = lambda_j / max|lambda|, so
-    |x_j| <= 1 and sum |c_j x_j| <= 24 for n <= 4. Against the exact sum X of
-    c_j x_j, rounding x_j to working precision (at least 53 bits) and then to
-    float64 errs by at most 24 * 2**-52, plus 24 * 2**-1074 for subnormals, and
-    the float64 sum of at most 4 products by at most 4.01 * 24 * 2**-53.
-    The mpmath sum below errs by at most 8 * 24 * 2**-53 of max|lambda|, and
-    its bound by 2**-53 of itself. So a tuple the mpmath test accepts has a
-    float64 sum below RELATION_REL_TOL + 2**-44, and the filter keeps every
-    tuple below RELATION_REL_TOL + _RELATION_MARGIN. The survivors are tested
-    in product order with that mpmath expression.
+    Returns c_j in [-RELATION_MAX_COEFF, RELATION_MAX_COEFF], first nonzero one positive,
+    with |sum c_j lambda_j| < RELATION_REL_TOL * max|lambda|, or None: the unit vector of
+    the last exponent below that bound, else mpmath's PSLQ relation on lambda / max|lambda|
+    (of several, PSLQ's choice), rechecked here since PSLQ's tolerance is on a
+    Euclidean-normalised vector. A heuristic: finding none certifies nothing.
     """
     lams = [as_mpf(x) for x in exponents]
-    n = len(lams)
-    if n > 4:
-        raise ValueError("relation search supports at most 4 exponents")
     scale = max(abs(l) for l in lams)
-    bound = mpf(RELATION_REL_TOL) * scale
     if not scale:
         return None  # every sum is 0, and none is below a bound of 0
-    span = 2 * RELATION_MAX_COEFF + 1
-    # column i holds the i-th tuple in product order
-    grid = np.indices((span,) * n, dtype=np.int8).reshape(n, -1) - RELATION_MAX_COEFF
-    sums = np.zeros(grid.shape[1])
-    for row, lam in zip(grid, lams):
-        sums += row * float(lam / scale)
-    # a NaN sum, from a non-finite exponent, is kept for the mpmath test
-    near = ~(np.abs(sums) >= RELATION_REL_TOL + _RELATION_MARGIN)
-    for column in grid[:, near].T:
-        coeffs = tuple(int(c) for c in column)
-        if all(c == 0 for c in coeffs):
-            continue
-        first = next(c for c in coeffs if c != 0)
-        if first < 0:
-            continue  # canonical sign
-        combo = mpf(0)
-        for c, lam in zip(coeffs, lams):
-            combo += c * lam
-        if abs(combo) < bound:
-            return coeffs
-    return None
+    bound = mpf(RELATION_REL_TOL) * scale
+    tiny = [j for j, lam in enumerate(lams) if abs(lam) < bound]
+    if tiny:  # PSLQ misses these, or raises on them
+        return tuple(int(j == tiny[-1]) for j in range(len(lams)))
+    if len(lams) < 2:
+        return None
+    found = mp.pslq([l / scale for l in lams], tol=RELATION_REL_TOL, maxcoeff=RELATION_MAX_COEFF + 1)
+    if found is None or not abs(sum((c * l for c, l in zip(found, lams)), mpf(0))) < bound:
+        return None
+    sign = 1 if next(c for c in found if c) > 0 else -1
+    return tuple(sign * c for c in found)

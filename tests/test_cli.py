@@ -200,11 +200,18 @@ def test_length_curve_grid_too_large_for_an_int_is_unresolved(tmp_path):
         assert sample["resolved"] is False and math.isnan(sample["L_upper"])
 
 
-@pytest.mark.parametrize("step", ["0", "-0.01"])
-def test_nonpositive_step_is_an_input_error(step, capsys):
-    argv = ["scan", "--signal", "golden", "--eps", "0.1", "--window", "0:1", "--step", step]
-    assert run_cli(argv) == 1
-    assert capsys.readouterr().err == "error: step must be positive\n"
+@pytest.mark.parametrize(
+    "flag, value",
+    [("step", "0"), ("step", "-0.01"), ("initial_width", "0"), ("initial_width", "-1")],
+    ids=["0", "-0.01", "initial_width-0", "initial_width--1"],
+)
+def test_nonpositive_step_is_an_input_error(flag, value, capsys):
+    argv = {
+        "step": ["scan", "--signal", "golden", "--eps", "0.1", "--window", "0:1"],
+        "initial_width": ["length-curve", "--signal", "golden", "--eps", "0.1"],
+    }[flag]
+    assert run_cli(argv + ["--" + flag.replace("_", "-"), value]) == 1
+    assert capsys.readouterr().err == f"error: {flag} must be positive\n"
 
 
 def test_scan_json(tmp_path):
@@ -399,7 +406,10 @@ def test_parse_warning_on_integer_relation(capsys):
     )
     assert code == 0
     captured = capsys.readouterr()
-    assert "integer relation" in captured.err
+    assert captured.err == (
+        "warning: exponents admit a small integer relation (2, -1); "
+        "they may not be rationally independent\n"
+    )
 
 
 def _python(*argv, **env):

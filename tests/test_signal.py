@@ -310,6 +310,48 @@ def test_relation_matches_reference_at_the_tolerance_edge(seed, bits):
     assert hits[0] and not hits[-1]
 
 
+def _differential_relation_cases(seed):
+    """Seeded commensurable lists, near relations at 1e-6 to 1e-12 of max|lambda| and
+    lists with one exponent at 1e-8 to 1e-14 of the others; n = 2-3, and n = 4 for seed 0."""
+    rng = np.random.default_rng(6000 + seed)
+    cases = []
+    for n in (2, 3, 4) if seed == 0 else (2, 3):
+        base = mpf(float(rng.uniform(0.1, 10.0)))
+        cases.append([base * int(k) * int(rng.choice([-1, 1])) for k in rng.integers(1, 10, n)])
+        lams = [mpf(float(x)) for x in rng.uniform(1.0, 10.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)]
+        coeffs = [int(c) for c in rng.integers(-RELATION_MAX_COEFF, RELATION_MAX_COEFF + 1, n - 1)]
+        last = int(rng.choice([-1, 1])) * int(rng.integers(1, RELATION_MAX_COEFF + 1))
+        near = mpf(10) ** -float(rng.uniform(6, 12)) * max(abs(l) for l in lams)
+        cases.append(lams + [(near - sum(c * l for c, l in zip(coeffs, lams))) / last])
+        tiny = [mpf(float(x)) for x in rng.uniform(1.0, 10.0, n)]
+        tiny[int(rng.integers(n))] *= mpf(10) ** -int(rng.integers(8, 15))
+        cases.append(tiny)
+    return cases
+
+
+def test_relation_agrees_with_reference_on_commensurable_near_and_tiny_exponents():
+    cases = [case for seed in range(8) for case in _differential_relation_cases(seed)]
+    found = 0
+    for exponents in cases:
+        got = suspected_rational_relation(exponents)
+        assert (got is None) == (reference_relation(exponents) is None), exponents
+        if got is not None:
+            found += 1
+            assert max(abs(c) for c in got) <= RELATION_MAX_COEFF
+            assert next(c for c in got if c) > 0
+            scale = max(abs(as_mpf(x)) for x in exponents)
+            combo = mpf(0)
+            for c, lam in zip(got, exponents):
+                combo += c * as_mpf(lam)
+            assert abs(combo) < mpf(RELATION_REL_TOL) * scale
+    assert 0 < found < len(cases)
+
+
+def test_relation_of_zero_and_doubled_exponents():
+    assert suspected_rational_relation([0, 0]) is None
+    assert suspected_rational_relation([2 * mp.pi, mp.pi]) == (1, -2)
+
+
 def test_evaluate_array_matches_scalar(golden):
     t = np.linspace(-3, 3, 50)
     vec = evaluate(golden, t)
