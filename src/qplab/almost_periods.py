@@ -7,10 +7,10 @@ intervals (certified members, via the Lipschitz bound) and an outer union
 the inclusion length, and log-log regression of inclusion length against 1/eps
 estimates its growth exponent.
 
-The scan evaluates D only near the zeros of its dominant term: since
+The scan evaluates D only where every term is near one of its zeros: since
 D >= 2|A_j||sin(lambda_j tau/2)| for every j, also as computed in floating
-point, a grid point far from those zeros has D at or above the cut and is
-excluded exactly as an evaluation would exclude it.
+point, a grid point far from the zeros of any one term has D at or above the
+cut and is excluded exactly as an evaluation would exclude it.
 """
 from __future__ import annotations
 
@@ -114,12 +114,14 @@ def sublevel_scan(
     point with D < eps + C*h (outer). Requires step <= eps/(4C). A step of 0,
     which eps/(4C) underflows to for tiny eps, needs more grid points than any cap.
 
-    D is evaluated only at grid points within reach of a zero 2*pi*k/|lambda_j|
-    of the term with the largest 2|A_j| (ties: smallest |lambda_j|). Elsewhere
-    that term alone is at least the outer cut, and so is the computed D, which
-    sums non-negative terms in a fixed order; so the result equals that of
-    evaluating D at every grid point. ``max_grid_points`` caps the grid size
-    m + 1, not the number of points evaluated.
+    D is evaluated only where every term is within reach of one of its zeros
+    2*pi*k/|lambda_j|. Beyond that reach the term alone is at least the outer
+    cut, and so is the computed D, which sums non-negative terms in a fixed
+    order; so leaving out the points that any one term excludes gives the
+    result of evaluating D at every grid point. A term that excludes nothing
+    (a cut at its peak 2|A_j|, or blocks that cover its period) drops out.
+    ``max_grid_points`` caps the grid size m + 1, not the number of points
+    evaluated.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -142,20 +144,20 @@ def sublevel_scan(
 
     # reach pads the exact half-width by two grid steps and an allowance for
     # rounding in tau; the 1e-12 on the cut covers rounding in sin and products
-    amps = 2.0 * f.amplitude_moduli
-    lams = np.abs(f.exponents_float)
-    j = min(range(f.n), key=lambda k: (-amps[k], lams[k]))
-    ratio = outer_cut * (1.0 + 1e-12) / amps[j]
-    period = 2.0 * math.pi / lams[j]
-    reach = math.inf  # the term alone never reaches the cut: the window is one block
-    if ratio < 1.0:
-        reach = (2.0 / lams[j]) * math.asin(ratio) + 2.0 * h + 1e-12 * max(1.0, abs(lo), abs(hi))
+    filters = []  # (period, reach) of each term that excludes some grid point
+    for amp, lam in zip(2.0 * f.amplitude_moduli, np.abs(f.exponents_float)):
+        ratio = outer_cut * (1.0 + 1e-12) / amp
+        period = 2.0 * math.pi / lam
+        if ratio < 1.0:
+            reach = (2.0 / lam) * math.asin(ratio) + 2.0 * h + 1e-12 * max(1.0, abs(lo), abs(hi))
+            if 2.0 * reach < period:
+                filters.append((period, reach))
 
     inner_runs: list[tuple[int, int]] = []
     outer_runs: list[tuple[int, int]] = []
     for start in range(0, m + 1, _CHUNK):
         stop = min(start + _CHUNK, m + 1)
-        idx = _near_zeros(start, stop - 1, lo, h, period, reach)
+        idx = _near_zeros(start, stop - 1, lo, h, filters)
         d = translation_distance_many(f, lo + idx.astype(np.float64) * h)
         _extend_runs(inner_runs, idx[d < inner_cut])
         _extend_runs(outer_runs, idx[d < outer_cut])
@@ -165,12 +167,11 @@ def sublevel_scan(
     return IntervalSet(window=(lo, hi), inner=inner, outer=outer, step=h, eps=eps)
 
 
-def _near_zeros(
+def _zero_blocks(
     first: int, last: int, lo: float, h: float, period: float, reach: float
-) -> np.ndarray:
-    """Ascending grid indices in [first, last] within reach of a multiple of period."""
-    if 2.0 * reach >= period:
-        return np.arange(first, last + 1)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of the merged blocks of grid indices in [first, last]
+    within reach of a multiple of period, ascending."""
     k0 = math.floor((lo + first * h - reach) / period)
     k1 = math.ceil((lo + last * h + reach) / period)
     z = np.arange(k0, k1 + 1, dtype=np.float64) * period
@@ -180,12 +181,27 @@ def _near_zeros(
         e = np.clip(np.floor((z + reach - lo) / h), first - 1, last).astype(np.int64)
     keep = s <= e
     s, e = s[keep], e[keep]
-    if s.size == 0:
-        return s
     # s and e ascend, so a block overlaps the blocks before it iff it overlaps the last one
-    new = np.r_[True, s[1:] > e[:-1]]
-    starts = s[new]
-    lens = e[np.r_[new[1:], True]] - starts + 1
+    gap = np.flatnonzero(s[1:] > e[:-1])
+    return np.append(s[:1], s[gap + 1]), np.append(e[gap], e[-1:])
+
+
+def _near_zeros(
+    first: int, last: int, lo: float, h: float, filters: list[tuple[float, float]]
+) -> np.ndarray:
+    """Ascending grid indices in [first, last] within reach of a zero of every filter term."""
+    if not filters:
+        return np.arange(first, last + 1)
+    blocks = [_zero_blocks(first, last, lo, h, period, reach) for period, reach in filters]
+    # an index lies in at most one block of each term, so in at most k blocks. With
+    # starts and ends + 1 sorted, the i-th start (from 0) opens a stretch that all
+    # k blocks cover iff it precedes the (i-k+1)-th end + 1, which closes it
+    k = len(blocks)
+    starts = np.sort(np.concatenate([b[0] for b in blocks]))[k - 1 :]
+    stops = np.sort(np.concatenate([b[1] for b in blocks]))[: starts.size] + 1
+    keep = starts < stops
+    starts = starts[keep]
+    lens = stops[keep] - starts
     return np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
 
 

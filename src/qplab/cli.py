@@ -254,6 +254,12 @@ def _cmd_eval(config: RunConfig) -> int:
     f = _parse_signal_checked(config.signal)
     if not all(math.isfinite(lam * config.t) for lam in f.exponents_float.tolist()):
         raise ConfigError(f"lambda_j * t overflows float64 at t = {config.t!r}")
+    # the float64 phase lambda_j * t is off by at most |lambda_j * t| * 2**-52 rad
+    if any(abs(lam * config.t) >= 2.0**52 for lam in f.exponents_float.tolist()):
+        raise ConfigError(
+            f"|lambda_j * t| >= 2**52 at t = {config.t!r}: the float64 phase error "
+            "bound |lambda_j * t| * 2**-52 rad reaches 1 rad"
+        )
     value = evaluate(f, config.t)
     payload = {
         "t": config.t,

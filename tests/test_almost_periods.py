@@ -19,7 +19,8 @@ from qplab.errors import (
     StepTooCoarse,
     TooFewSamples,
 )
-from qplab.signal import lipschitz_constant, translation_distance
+from qplab.signal import lipschitz_constant, preset, translation_distance
+from qplab.verify import GOLDEN_EPS_LADDER, SQRT23_EPS_LADDER
 
 # half-width of {2|sin(pi tau)| < 0.1} around each integer: asin(0.05)/pi
 SINGLE_TERM_HALFWIDTH = 0.015922133236660344
@@ -292,3 +293,25 @@ def test_scan_chunk_size_does_not_change_result(golden, monkeypatch):
     monkeypatch.setattr(ap, "_CHUNK", 97)
     small = sublevel_scan(golden, eps, (0.0, 50.0), step)
     assert small == ref
+
+
+@pytest.mark.parametrize(
+    "name,ladder,limit",
+    [("sqrt23", SQRT23_EPS_LADDER, 20_000), ("golden", GOLDEN_EPS_LADDER, 5_000)],
+)
+def test_length_curve_evaluates_near_every_term_zero_only(name, ladder, limit, monkeypatch):
+    # D is evaluated only where every term is near a zero: a filter on one term
+    # alone evaluates about 6.1 M points on the sqrt23 ladder and 231 k on golden's
+    import qplab.almost_periods as ap
+
+    points = []
+    distance = ap.translation_distance_many
+
+    def counting(f, taus):
+        points.append(taus.size)
+        return distance(f, taus)
+
+    monkeypatch.setattr(ap, "translation_distance_many", counting)
+    curve = length_curve(preset(name), ladder)
+    assert all(s.resolved for s in curve.samples)
+    assert 0 < sum(points) < limit

@@ -145,10 +145,32 @@ def test_eval_overflowing_phase_is_input_error(t, capsys):
     assert captured.err == f"error: lambda_j * t overflows float64 at t = {float(t)!r}\n"
 
 
-def test_eval_largest_phases_stay_finite(capsys):
-    assert run_cli(["eval", "--signal", "golden", "--t", "1.76e307"]) == 0
+def _largest_accepted_t(signal):
+    # the largest float64 t with |lambda_j * t| < 2**52 for every exponent
+    lam = max(abs(l) for l in preset(signal).exponents_float.tolist())
+    t = 2.0**52 / lam
+    while abs(lam * t) >= 2.0**52:
+        t = math.nextafter(t, 0.0)
+    while abs(lam * math.nextafter(t, math.inf)) < 2.0**52:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_eval_phase_without_correct_digit_is_input_error(sign, capsys):
+    # a float64 phase |lambda_j * t| >= 2**52 may be off by 1 rad or more
+    t_max = _largest_accepted_t("golden")
+    assert run_cli(["eval", "--signal", "golden", f"--t={sign * t_max!r}"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert all(math.isfinite(payload[k]) for k in ("re", "im", "abs"))
+    for t in (sign * math.nextafter(t_max, math.inf), sign * 1e20, sign * 1.76e307):
+        assert run_cli(["eval", "--signal", "golden", f"--t={t!r}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: |lambda_j * t| >= 2**52 at t = {t!r}: the float64 phase error "
+            "bound |lambda_j * t| * 2**-52 rad reaches 1 rad\n"
+        )
 
 
 def test_missing_signal_is_input_error(capsys):

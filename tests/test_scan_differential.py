@@ -1,7 +1,7 @@
 """Differential gate: sublevel_scan against a dense reference scan.
 
-sublevel_scan evaluates D only near the zeros of its dominant term. The
-reference below evaluates D at every grid point of the window, in chunks, and
+sublevel_scan evaluates D only where every term is near one of its zeros.
+The reference below evaluates D at every grid point of the window, in chunks, and
 builds the runs with a chunk-stitching run collector. Both must return equal
 IntervalSets, bit for bit.
 """
@@ -73,15 +73,19 @@ def assert_matches_dense(f, eps, window):
     return fast
 
 
-def random_signal(seed):
-    """n = 1-4 terms, unequal amplitude moduli, exponents of both signs."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 5))
+def draw_signal(rng, n):
+    """n terms, unequal amplitude moduli, exponents of both signs."""
     moduli = rng.uniform(0.2, 1.5, n)
     phases = rng.uniform(0.0, 2.0 * math.pi, n)
     lams = rng.choice([-1.0, 1.0], n) * rng.uniform(0.3, 8.0, n)
     terms = [(complex(r * math.cos(p), r * math.sin(p)), float(l)) for r, p, l in zip(moduli, phases, lams)]
-    return QuasiperiodicSignal(terms), rng
+    return QuasiperiodicSignal(terms)
+
+
+def random_signal(seed):
+    """n = 1-4 terms."""
+    rng = np.random.default_rng(seed)
+    return draw_signal(rng, int(rng.integers(1, 5))), rng
 
 
 LADDER_CASES = [("golden", e) for e in GOLDEN_EPS_LADDER] + [("sqrt23", e) for e in SQRT23_EPS_LADDER]
@@ -138,3 +142,48 @@ def test_eps_near_and_above_dominant_peak_matches_dense(frac):
     f = QuasiperiodicSignal([(1.0, 1.0), (0.5, -2.0 ** 0.5)])
     scan = assert_matches_dense(f, frac * 2.0, (-20.0, 30.0))
     assert scan.outer
+
+
+def every_term_signal(seed):
+    """n = 2-4 terms, and a cut below 2 min|A_j| at which every term filters."""
+    rng = np.random.default_rng(10_000 + seed)
+    f = draw_signal(rng, 2 + seed % 3)
+    eps = float(rng.uniform(0.05, 0.8)) * 2.0 * float(np.min(f.amplitude_moduli))
+    return f, eps, rng
+
+
+def filter_periods(monkeypatch):
+    """Record the period of every term family whose zero blocks the scan builds."""
+    import qplab.almost_periods as ap
+
+    periods = set()
+    blocks = ap._zero_blocks
+
+    def recording(first, last, lo, h, period, reach):
+        periods.add(period)
+        return blocks(first, last, lo, h, period, reach)
+
+    monkeypatch.setattr(ap, "_zero_blocks", recording)
+    return periods
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_every_term_filtering_matches_dense(seed, monkeypatch):
+    f, eps, rng = every_term_signal(seed)
+    periods = filter_periods(monkeypatch)
+    # even seeds start near 0, odd seeds out to |lo| = 2e5, where tau rounds more coarsely
+    lo = float(rng.uniform(-100.0, 50.0) if seed % 2 == 0 else rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 2e5))
+    assert_matches_dense(f, eps, (lo, lo + float(rng.uniform(5.0, 150.0))))
+    assert len(periods) == f.n
+
+
+def test_every_term_families_across_small_chunks_match_dense(monkeypatch):
+    # several term families, each cut into blocks at every 97-point chunk boundary
+    import qplab.almost_periods as ap
+
+    monkeypatch.setattr(ap, "_CHUNK", 97)
+    periods = filter_periods(monkeypatch)
+    f = QuasiperiodicSignal([(1.0, 1.0), (0.8j, -(2.0**0.5)), (0.6, 3.0**0.5), (0.5 - 0.2j, 0.3)])
+    for window in ((-30.0, 45.0), (-200_030.0, -199_990.0), (199_990.0, 200_030.0)):
+        assert_matches_dense(f, 0.5, window)
+    assert len(periods) == f.n
