@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import re
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -50,6 +49,7 @@ _CONSTANTS = {
     "pi": lambda: mp.pi,
     "2pi": lambda: 2 * mp.pi,
 }
+MAX_DECIMAL_EXPONENT = 4300  # largest |e| of a decimal literal's exponent
 
 
 @dataclass
@@ -107,25 +107,23 @@ _FIELD_TYPES = {
 
 
 def parse_constant(token: str):
-    """A number token: named constant, integer, p/q rational, or decimal literal."""
+    """A number token: a named constant, as an mpf at working precision, else the
+    exact Fraction of an integer, p/q rational or decimal literal."""
     token = token.strip()
     if token in _CONSTANTS:
         return _CONSTANTS[token]()
-    if re.fullmatch(r"[+-]?[0-9]+", token):
-        return int(token)
-    if "/" in token:
-        num, _, den = token.partition("/")
-        try:
-            return Fraction(int(num), int(den))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad rational {token!r}") from exc
+    # Fraction("1e30000000") would build 10**30000000; the mantissa is held to
+    # Python's 4,300-digit int limit
+    _, e, exponent = token.lower().partition("e")
     try:
-        value = mp.mpf(token)
-    except ValueError as exc:
-        raise ConfigError(f"bad number {token!r}") from exc
-    if not mp.isfinite(value):
-        raise ConfigError(f"number must be finite, got {token!r}")
-    return value
+        if e and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
+            raise ConfigError(f"decimal exponent of {token!r} exceeds {MAX_DECIMAL_EXPONENT} in size")
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(
+            f"bad number {token!r}: need a finite integer, p/q with q > 0, decimal, "
+            f"or one of {', '.join(_CONSTANTS)}"
+        ) from exc
 
 
 def parse_constant_list(text: str) -> list:
@@ -252,9 +250,8 @@ def _flat_config(config: RunConfig) -> dict:
 def _cmd_eval(config: RunConfig) -> int:
     _require(config, "signal", "t")
     f = _parse_signal_checked(config.signal)
-    if not all(math.isfinite(lam * config.t) for lam in f.exponents_float.tolist()):
-        raise ConfigError(f"lambda_j * t overflows float64 at t = {config.t!r}")
-    # the float64 phase lambda_j * t is off by at most |lambda_j * t| * 2**-52 rad
+    # the float64 phase lambda_j * t is off by at most |lambda_j * t| * 2**-52 rad;
+    # a phase that overflows to inf fails the same test
     if any(abs(lam * config.t) >= 2.0**52 for lam in f.exponents_float.tolist()):
         raise ConfigError(
             f"|lambda_j * t| >= 2**52 at t = {config.t!r}: the float64 phase error "
@@ -350,7 +347,7 @@ def _cmd_cf(config: RunConfig) -> int:
         "quotients": list(cf.quotients),
         "convergents": [[str(p), str(q)] for p, q in cf.convergents],
         "exact": cf.exact,
-        "error_bound": float(cf.error_bound) if cf.error_bound is not None else None,
+        "error_bound": float(cf.error_bound),
     }
     rows = [{"k": k, "p": str(p), "q": str(q)} for k, (p, q) in enumerate(cf.convergents)]
     _emit(config, payload, columns=("k", "p", "q"), rows=rows)
@@ -385,7 +382,10 @@ def _cmd_kronecker(config: RunConfig) -> int:
     eps = _single_eps(config)
     f = _parse_signal_checked(config.signal)
     lams = [float(l) for l in f.exponents_float]
-    kaps = [float(k) for k in parse_constant_list(config.kappa)]
+    try:
+        kaps = [float(k) for k in parse_constant_list(config.kappa)]
+    except OverflowError as exc:
+        raise ConfigError(f"kappa values must be finite in float64, got {config.kappa!r}") from exc
     if len(kaps) != len(lams):
         raise ConfigError(f"need {len(lams)} kappa values for this signal")
     t = kronecker_solve(lams, kaps, eps, config.tmax)
@@ -466,7 +466,7 @@ _FLAG_HELP = {
     "step": "scan step (default eps/(4C), C the Lipschitz constant)",
     "t": "time at which to evaluate",
     "depth": "number of certified partial quotients",
-    "x": "number: phi, sqrt2, sqrt3, integer, p/q, or decimal",
+    "x": "number: phi, sqrt2, sqrt3, pi, 2pi, or an exact integer, p/q or decimal",
     "alpha": "comma list of numbers",
     "delta": "distance bound in (0, 1/2) that every q*alpha_j must meet",
     "qmax": "largest denominator q scanned",

@@ -40,7 +40,7 @@ class ContinuedFraction:
     quotients: tuple[int, ...]
     convergents: tuple[tuple[int, int], ...]
     exact: bool
-    error_bound: Fraction | None
+    error_bound: Fraction
 
     def __post_init__(self):
         if any(a < 1 for a in self.quotients):
@@ -81,8 +81,10 @@ def cf_expand(x, depth: int) -> ContinuedFraction:
     its stored value; PrecisionExhausted is raised if the interval cannot
     certify a quotient before ``depth`` is reached. An exact rational input
     (int, Fraction, float) is an interval of width zero, which always certifies
-    and may terminate early: ``exact`` then holds and the error bound is 0;
-    cut off at ``depth``, it has no error bound.
+    and may terminate early: ``exact`` then holds and the error bound is 0.
+    Otherwise the last convergent p_k/q_k lies within radius + 1/q_k**2 of the
+    input, since every point of the interval shares its first k quotients and so
+    lies within 1/q_k**2 of p_k/q_k.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -112,18 +114,14 @@ def cf_expand(x, depth: int) -> ContinuedFraction:
         quotients.append(a)
         lo, hi = lo - a, hi - a
     convergents = _convergents_from(a0, quotients)
-    if radius == 0:
-        exact = hi == 0
-        error_bound = Fraction(0) if exact else None
-    else:
-        _, qk = convergents[-1]
-        exact, error_bound = False, radius + Fraction(1, qk * qk)
+    exact = hi == 0
+    _, qk = convergents[-1]
     return ContinuedFraction(
         a0=a0,
         quotients=tuple(quotients),
         convergents=convergents,
         exact=exact,
-        error_bound=error_bound,
+        error_bound=Fraction(0) if exact else radius + Fraction(1, qk * qk),
     )
 
 

@@ -4,13 +4,17 @@ import math
 import shlex
 import subprocess
 import sys
+import time
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from mpmath import mpf
 
 import qplab
 from qplab.cli import (
+    MAX_DECIMAL_EXPONENT,
     RunConfig,
     build_config,
     build_parser,
@@ -64,15 +68,35 @@ def test_parse_window():
 
 def test_parse_constant():
     assert float(parse_constant("phi")) == pytest.approx(float(golden_ratio()))
-    assert parse_constant("355/113") == pytest.approx(355 / 113)
-    assert float(parse_constant("0.25")) == 0.25
+    assert type(parse_constant("phi")) is mpf
     with pytest.raises(ConfigError):
         parse_constant("nope")
-    # integer literals are exact; decimals stay mpf
-    for token, value in (("5", 5), ("0", 0), ("-17", -17), ("+3", 3)):
+    # every literal is read as its exact rational value
+    for token, value in (
+        ("5", 5), ("0", 0), ("-17", -17), ("+3", 3), ("5.0", 5), ("355/113", Fraction(355, 113)),
+        ("0.1", Fraction(1, 10)), ("-2.5e-3", Fraction(-1, 400)), ("1E+3", 1000), (".5", Fraction(1, 2)),
+    ):
         assert parse_constant(token) == value
-        assert type(parse_constant(token)) is int
-    assert type(parse_constant("5.0")) is not int
+        assert type(parse_constant(token)) is Fraction
+
+
+@pytest.mark.parametrize("token", ["355/-113", "1/0", "0x10", "1e", "e5", "1.5e2.5"])
+def test_parse_constant_rejects_malformed_literals(token):
+    # a p/q denominator must be a positive integer written without sign
+    with pytest.raises(ConfigError, match="bad number"):
+        parse_constant(token)
+
+
+def test_parse_constant_decimal_exponent_bound():
+    bound = MAX_DECIMAL_EXPONENT
+    assert parse_constant(f"1e{bound}") == 10**bound
+    assert parse_constant(f"-3e-{bound}") == Fraction(-3, 10**bound)
+    # rejected before Fraction builds 10**30000000
+    start = time.perf_counter()
+    for token in (f"1e{bound + 1}", f"1e-{bound + 1}", "2.5E+30000000"):
+        with pytest.raises(ConfigError, match=f"exceeds {bound}"):
+            parse_constant(token)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_config_file_round_trip(tmp_path):
@@ -136,15 +160,6 @@ def test_eval_csv(tmp_path):
     assert [float(v) for v in lines[1].split(",")][1] == pytest.approx(-1.0)
 
 
-@pytest.mark.parametrize("t", ["1e308", "-1e308", "1.77e307"])
-def test_eval_overflowing_phase_is_input_error(t, capsys):
-    # lambda_j * t is inf in float64 for the golden exponent 2*pi*phi, though t is finite
-    assert run_cli(["eval", "--signal", "golden", f"--t={t}"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: lambda_j * t overflows float64 at t = {float(t)!r}\n"
-
-
 def _largest_accepted_t(signal):
     # the largest float64 t with |lambda_j * t| < 2**52 for every exponent
     lam = max(abs(l) for l in preset(signal).exponents_float.tolist())
@@ -158,12 +173,13 @@ def _largest_accepted_t(signal):
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_eval_phase_without_correct_digit_is_input_error(sign, capsys):
-    # a float64 phase |lambda_j * t| >= 2**52 may be off by 1 rad or more
+    # a float64 phase |lambda_j * t| >= 2**52 may be off by 1 rad or more; from
+    # 1.77e307 on, lambda_j * t overflows to inf for the golden exponent 2*pi*phi
     t_max = _largest_accepted_t("golden")
     assert run_cli(["eval", "--signal", "golden", f"--t={sign * t_max!r}"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert all(math.isfinite(payload[k]) for k in ("re", "im", "abs"))
-    for t in (sign * math.nextafter(t_max, math.inf), sign * 1e20, sign * 1.76e307):
+    for t in (sign * math.nextafter(t_max, math.inf), sign * 1e20, sign * 1.76e307, sign * 1.77e307, sign * 1e308):
         assert run_cli(["eval", "--signal", "golden", f"--t={t!r}"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -293,6 +309,25 @@ def test_cf_integer_is_exact(x, tmp_path):
     assert (payload["a0"], payload["quotients"], payload["exact"]) == (x, [], True)
     assert payload["convergents"] == [[str(x), "1"]]
     assert payload["error_bound"] == 0.0
+
+
+def _cf_report(args, tmp_path):
+    out = tmp_path / "cf.json"
+    assert run_cli(["cf", *args, "--out", str(out)]) == 0
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_cf_of_a_short_decimal_ends_exactly(tmp_path):
+    payload = _cf_report(["--x", "0.1", "--depth", "30"], tmp_path)
+    assert (payload["a0"], payload["quotients"], payload["exact"]) == (0, [10], True)
+    assert payload["convergents"] == [["0", "1"], ["1", "10"]]
+    assert payload["error_bound"] == 0.0
+
+
+def test_cf_of_a_rational_cut_off_at_depth_reports_its_bound(tmp_path):
+    payload = _cf_report(["--x", "355/113", "--depth", "1"], tmp_path)
+    assert (payload["quotients"], payload["exact"]) == ([7], False)
+    assert payload["error_bound"] == 1 / 49
 
 
 def test_badness_json(tmp_path):
@@ -482,6 +517,7 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
         ["kronecker", "--signal", "golden", "--kappa", "nan,0", "--eps", "0.3", "--tmax", "10"],
         ["cf", "--x", "nan"],
         ["cf", "--x=-inf"],
+        ["kronecker", "--signal", "golden", "--kappa", "1e400,0", "--eps", "0.3", "--tmax", "10"],
     ],
 )
 def test_non_finite_numbers_are_input_errors(argv, capsys):
@@ -656,7 +692,7 @@ def _readme_commands():
 
 def test_readme_commands_parse():
     commands = _readme_commands()
-    assert len(commands) == 10
+    assert len(commands) == 11
     for line in commands:
         args = build_parser().parse_args(shlex.split(line)[1:])
         assert build_config(args).command == args.command

@@ -66,11 +66,26 @@ def test_cf_negative_rational_reconstructs():
 
 
 def test_cf_rational_cut_off_at_depth():
+    # cut off at depth, an exact input keeps the bound 1/q_k**2 of its last convergent
     cf = cf_expand(Fraction(355, 113), 1)
-    assert (cf.quotients, cf.exact, cf.error_bound) == ((7,), False, None)
+    assert (cf.quotients, cf.exact, cf.error_bound) == ((7,), False, Fraction(1, 49))
     # 355/113 = [3; 7, 16] ends exactly at depth 2
     cf = cf_expand(Fraction(355, 113), 2)
     assert (cf.quotients, cf.exact, cf.error_bound) == ((7, 16), True, 0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cf_rational_cut_off_error_bound_holds(seed):
+    rng = random.Random(seed)
+    x = Fraction(rng.randrange(-10**30, 10**30), rng.randrange(1, 10**25))
+    full = cf_expand(x, 10**4)
+    assert full.exact
+    for depth in range(1, len(full.quotients)):
+        cf = cf_expand(x, depth)
+        p, q = cf.convergents[-1]
+        assert not cf.exact and cf.quotients == full.quotients[:depth]
+        assert cf.error_bound == Fraction(1, q * q)
+        assert abs(x - Fraction(p, q)) <= cf.error_bound
 
 
 def test_cf_integer():
@@ -287,7 +302,7 @@ def test_fixed_point_exactness():
 
 def test_continued_fraction_validation():
     with pytest.raises(ValueError):
-        ContinuedFraction(a0=1, quotients=(0,), convergents=((1, 1), (1, 1)), exact=True, error_bound=None)
+        ContinuedFraction(a0=1, quotients=(0,), convergents=((1, 1), (1, 1)), exact=True, error_bound=Fraction(0))
     with pytest.raises(ValueError):
         BadnessReport(n=1, Q=10, score=-1.0, argmin_q=1)
 
