@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -271,7 +271,8 @@ def length_curve(
     The window starts at ``initial_width`` (default 4/eps) and doubles until
     the outer set has at least ``min_hits`` intervals, the window covers
     everything, or ``max_doublings`` is reached. A budget overrun on one eps
-    marks that sample unresolved instead of failing the whole curve.
+    marks that sample unresolved instead of failing the whole curve; if it cuts
+    a doubling, the sample keeps the last window's bracket and width.
     """
     eps_values = list(eps_list)
     if not eps_values or any(e <= 0 for e in eps_values):
@@ -288,6 +289,8 @@ def length_curve(
             try:
                 scan = sublevel_scan(f, eps, (0.0, width), step, max_grid_points)
             except BudgetExceeded:
+                if sample is not None:
+                    sample = replace(sample, resolved=False)
                 break
             L_lower, L_upper = inclusion_length(scan)
             sample = LengthSample(eps, L_lower, L_upper, width, True)

@@ -342,14 +342,20 @@ def _cmd_length_curve(config: RunConfig) -> int:
 def _cmd_cf(config: RunConfig) -> int:
     _require(config, "x")
     cf = cf_expand(parse_constant(config.x), config.depth)
+    try:
+        # a0 and every quotient are at most their convergent's size
+        convergents = [[str(p), str(q)] for p, q in cf.convergents]
+    except ValueError:  # Python's int-to-decimal limit
+        limit = sys.get_int_max_str_digits()
+        raise ConfigError(f"a convergent has more than {limit} digits, the most a report writes") from None
     payload = {
         "a0": cf.a0,
         "quotients": list(cf.quotients),
-        "convergents": [[str(p), str(q)] for p, q in cf.convergents],
+        "convergents": convergents,
         "exact": cf.exact,
         "error_bound": float(cf.error_bound),
     }
-    rows = [{"k": k, "p": str(p), "q": str(q)} for k, (p, q) in enumerate(cf.convergents)]
+    rows = [{"k": k, "p": p, "q": q} for k, (p, q) in enumerate(convergents)]
     _emit(config, payload, columns=("k", "p", "q"), rows=rows)
     return 0
 

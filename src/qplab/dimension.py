@@ -15,9 +15,8 @@ iff it is at least 2*eps away from every kept point.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from mpmath import mpf
@@ -35,6 +34,7 @@ MAX_SEGMENT_POINTS = 2**24
 # hull grids and orbit segments are SAFETY times finer than the radius needs
 SAFETY = 4.0
 _SCATTER_CHUNK = 2**14  # grid greedy: flat indices per scatter, cells per window of a line
+_TABLE_CELLS = 64  # grid greedy: unset cells from which a window's chain is cheaper from a table than walked
 
 
 def orbit_angles(f: QuasiperiodicSignal, s: float) -> np.ndarray:
@@ -117,7 +117,11 @@ class TorusGridSample:
 
 
 def _next_unset(flat: np.ndarray, start: int, block: int = 512) -> int:
-    """Index of the first False at or after start, else -1. Monotone scans only."""
+    """Index of the first False at or after start, else -1. Monotone scans only.
+
+    Each block read is twice the one before, so a long run of set flags costs
+    a few reads.
+    """
     n = flat.size
     c = start
     while c < n:
@@ -126,6 +130,7 @@ def _next_unset(flat: np.ndarray, start: int, block: int = 512) -> int:
         if not seg[i]:
             return c + i
         c += seg.size
+        block *= 2
     return -1
 
 
@@ -158,20 +163,66 @@ def _cover_advances(sample: TorusGridSample, radius: float) -> list[int]:
     return advances
 
 
-def _ball_centers(unset: np.ndarray, p: int, a: int, w: int) -> list[int]:
+def _ball_centers(unset: np.ndarray, p: int, a: int, w: int) -> np.ndarray:
     """Last-axis centers of the balls that a window of a line calls for.
 
     ``unset`` flags the window's unset cells, from position p on. Each ball is
     centered a past the first unset cell that no earlier ball reaches, and
-    reaches w cells either side of its center.
+    reaches w cells either side of its center. On a window with many unset
+    cells one search gives each the first unset cell past its ball's reach,
+    and the chain follows that table; a few cells are simply walked in order.
     """
-    cells = (np.flatnonzero(unset) + p).tolist()
+    cells = np.flatnonzero(unset)
+    if cells.size >= _TABLE_CELLS:
+        after = np.searchsorted(cells, cells + (a + w), "right").tolist()
+        size = len(after)
+        chain = []
+        j = 0
+        while j < size:
+            chain.append(j)
+            j = after[j]
+        return cells[chain] + (p + a)
     centers = []
-    j = 0
-    while j < len(cells):
-        centers.append(cells[j] + a)
-        j = bisect_right(cells, cells[j] + a + w, j)
-    return centers
+    reach = -1
+    for c in cells.tolist():
+        if c > reach:
+            centers.append(c + p + a)
+            reach = c + a + w
+    return np.array(centers, dtype=np.intp)
+
+
+def _line_dilation(m: int, R: int) -> Callable[[np.ndarray, int], np.ndarray]:
+    """``dilate(centers, top)`` for a line of m cells, with top <= R <= m/2.
+
+    It returns a view whose row h, for h <= top, flags the cells within h of
+    a center, circularly. The buffers are made once: column j stands for cell
+    (j - R) mod m, and row h is exact in columns h to m + 2R - h. ``grow``
+    flags the cells at most one past a center, so each row is one OR: row h at
+    column j is row h - 1 at column j + 1 (centers from h - 2 before j to h
+    after it) or grow at column j - h + 1 (centers h and h - 1 before j).
+    """
+    size = m + 2 * R
+    stack = np.zeros((R + 1, size), dtype=bool)
+    grow = np.zeros(size, dtype=bool)
+    line = stack[0]
+    pads = ((line[:R], line[m : m + R]), (line[m + R :], line[R : 2 * R]))
+    steps = [
+        (stack[h - 1, h + 1 : size - h + 1], grow[1 : size - 2 * h + 1], stack[h, h : size - h])
+        for h in range(1, R + 1)
+    ]
+    cells = stack[:, R : R + m]
+
+    def dilate(centers: np.ndarray, top: int) -> np.ndarray:
+        line[:] = False
+        line[centers % m + R] = True
+        for pad, source in pads:
+            pad[:] = source
+        np.logical_or(line[1:], line[:-1], out=grow[1:])
+        for before, grown, out in steps[:top]:
+            np.logical_or(before, grown, out=out)
+        return cells
+
+    return dilate
 
 
 def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]) -> int:
@@ -181,11 +232,16 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
     The grid is walked one line of the last axis at a time. On the line of its
     first unset cell every ball covers the same interval [c - w, c + w] (mod m)
     of the last axis, so the line's balls follow from its unset positions
-    alone. They are then marked together: the flat index of each stencil cell
-    is its line's start plus its last-axis offset, with the few cells past an
-    end of the line moved by m. A ball wraps onto itself only when an axis has
-    m even and reach m/2; its stencil then holds the cell at offset +-m/2
-    twice, and marking a cell twice does nothing.
+    alone. They are then marked together. For n = 2 each stencil row is a run
+    of half-width h along the last axis, so it marks on its target line the
+    cells within h of any center: the line's centers grown by h cells. That is
+    done once the whole line is read, since no window of a line reads a mark on
+    another line, and on its own line a ball marks the interval the chain has
+    already passed. For other n the flat index of each stencil cell is its
+    line's start plus its last-axis offset, with the few cells past an end of
+    the line moved by m, and each window's balls are one scatter. A ball wraps
+    onto itself only when an axis has m even and reach m/2; its stencil then
+    holds the cell at offset +-m/2 twice, and marking a cell twice does nothing.
 
     Flags live in one buffer: W + ceil(W/2) held lines from line ``origin`` on,
     where no ball read on a line marks W or more lines past it, then the last
@@ -243,6 +299,11 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
     origin = 0
     scan = flags[: held * m] if held < split else flags  # the rows the scan reads
     chunk = max(1, _SCATTER_CHUNK // last.size)
+    if n == 2:
+        half = np.count_nonzero(mask, axis=1) // 2  # of each stencil row's run of the last axis
+        head_rows = heads // m
+        dilate = _line_dilation(m, int(half.max()))
+        marks = flags.reshape(-1, m)  # one row per line of the buffer
     count = 0
     i = _next_unset(scan, 0)
     while True:
@@ -270,7 +331,16 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
             if x + advances[k] < reaches[k]:
                 first = 0
             fast = fast and reaches[k] <= x + advances[k] < cells[k] - reaches[k]
-        if fast:
+        if n == 2:
+            # stencil rows from `first` on mark their target lines, routed as the
+            # scatter routes its starts
+            q = 0 if first == 0 else reaches[0] - advances[0] + 1
+            rows = head_rows[key + q : key + half.size] - origin
+            rows[rows >= held] += origin + held - split
+            kept = rows >= 0
+            rows = rows[kept]
+            widths = half[q:][kept]
+        elif fast:
             offsets = last[ahead:]
             base = heads[key] - origin * m
             cells_of_line = flat_ahead
@@ -284,25 +354,39 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
             cells_of_line = starts[kept] + offsets
         if p + a < w:  # only the line's first ball wraps past 0: mark its tail before the read
             flags[start + m + p + a - w : start + m] = True
+        found = []
         while p < m:
             # the line's balls, a window of cells at a time
             stop = min(m, p + _SCATTER_CHUNK)
             centers = _ball_centers(~flags[start + p : start + stop], p, a, w)
-            p = max(stop, centers[-1] + w + 1) if centers else stop
-            count += len(centers)
-            for lo in range(0, len(centers), chunk):
+            p = max(stop, int(centers[-1]) + w + 1) if centers.size else stop
+            count += centers.size
+            if n == 2:
+                found.append(centers)
+                continue
+            for lo in range(0, centers.size, chunk):
                 batch = centers[lo : lo + chunk]
-                idx = np.add.outer(np.array(batch) + base, cells_of_line)
+                idx = np.add.outer(batch + base, cells_of_line)
                 # centers are ascending: only the first and last balls wrap past an end of the line
                 for b, c in enumerate(batch):
                     if c >= r:
                         break
                     np.add(idx[b], m, out=idx[b], where=offsets < -c)
-                for b in range(len(batch) - 1, -1, -1):
+                for b in range(batch.size - 1, -1, -1):
                     if batch[b] + r < m:
                         break
                     np.subtract(idx[b], m, out=idx[b], where=offsets >= m - batch[b])
                 flags[idx] = True
+        if n == 2 and rows.size:
+            # each row ORs the line's centers, grown to its half-width, into its line
+            grown = dilate(np.concatenate(found), int(widths.max()))[widths]
+            if fast and rows[-1] - rows[0] == rows.size - 1:
+                # a stencil that wraps on no axis marks consecutive rows
+                marks[rows[0] : rows[-1] + 1] |= grown
+            else:
+                # a row repeats only when m_0 = 2 r_0, at the stencil's first and
+                # last rows, which have the same width
+                marks[rows] |= grown
         i = _next_unset(scan, start + m)
 
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qplab.errors import (
     EmptyAlmostPeriodSet,
     StepTooCoarse,
     TooFewSamples,
+    grid_count,
 )
 from qplab.signal import lipschitz_constant, preset, translation_distance
 from qplab.verify import GOLDEN_EPS_LADDER, SQRT23_EPS_LADDER
@@ -219,6 +221,20 @@ def test_length_curve_unresolved_sample(golden):
     curve = length_curve(golden, [0.1], max_grid_points=50)
     assert not curve.samples[0].resolved
     assert math.isnan(curve.samples[0].L_upper)
+
+
+def test_length_curve_budget_cut_doubling_is_unresolved(golden):
+    eps = [0.4, 0.2, 0.1, 0.05]
+    full = length_curve(golden, eps)
+    # the cap holds the first window at 0.05, 4/eps = 80, but not its doubling to 160
+    cap = grid_count(80.0, certified_step(golden, 0.05)) + 1
+    cut = length_curve(golden, eps, max_grid_points=cap)
+    assert cut.samples[:3] == full.samples[:3]
+    first = length_curve(golden, [0.05], max_doublings=0).samples[0]
+    assert first.resolved and first.window_used == 80.0
+    # the cut sample keeps its last window's bracket, and the fit skips it
+    assert cut.samples[3] == replace(first, resolved=False)
+    assert fit_exponent(cut) == fit_exponent(LengthCurve(full.samples[:3], full.signal_id))
 
 
 def test_fit_exponent_exact_power_law():

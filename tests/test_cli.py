@@ -340,6 +340,20 @@ def test_cf_of_a_rational_cut_off_at_depth_reports_its_bound(tmp_path):
     assert payload["error_bound"] == 1 / 49
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cf_convergent_digits_at_the_report_limit(fmt, tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    out = tmp_path / f"cf.{fmt}"
+    # 10**(limit - 1) has limit digits and is written; 10**limit has one more
+    argv = ["cf", "--x", f"1e-{limit - 1}", "--depth", "2", "--format", fmt, "--out", str(out)]
+    assert run_cli(argv) == 0
+    assert str(10 ** (limit - 1)) in out.read_text(encoding="utf-8")
+    for x in (f"1e-{limit}", f"1e{limit}"):
+        assert run_cli(["cf", "--x", x, "--depth", "2", "--format", fmt]) == 1
+        message = f"error: a convergent has more than {limit} digits, the most a report writes\n"
+        assert capsys.readouterr() == ("", message)
+
+
 def test_badness_json(tmp_path):
     out = tmp_path / "badness.json"
     code = run_cli(["badness", "--alpha", "phi", "--qmax", "1000", "--out", str(out)])

@@ -1,9 +1,10 @@
 """Differential gate for the greedy covers of qplab.dimension.
 
 The torus-grid greedy works one line of the last axis at a time, marks a
-line's balls in one scatter, and holds its flags for a band of lines that
-slides until it meets the grid's last planes; the orbit-segment greedy marks each ball's lag offsets, the k with
-D(k h) below the radius. Both must give exactly the counts
+line's balls together (for n = 2 by growing the line's centers to each stencil
+row's half-width, otherwise in one scatter), and holds its flags for a band of
+lines that slides until it meets the grid's last planes; the orbit-segment
+greedy marks each ball's lag offsets, the k with D(k h) below the radius. Both must give exactly the counts
 of the per-ball references kept here: the grid greedy that finds each first
 unset cell and marks one ball at a time (``_grid_mark``, ``_next_unset``, and
 ``_grid_mark_slow`` from full per-axis distances when a ball wraps onto itself
@@ -349,14 +350,49 @@ def _all_grids(golden, sqrt23):
     return grids + [_random_grid(seed) for seed in range(16)]
 
 
-# n = 1 grids whose line is longer than one scan window of _SCATTER_CHUNK cells
-LONG_LINE_GRIDS = [((40000,), (1.0,), 0.001), ((70001,), (0.7,), 0.0004)]
+# grids whose line is longer than one scan window of _SCATTER_CHUNK cells: n = 1,
+# then n = 2, where a line's balls from several windows are grown and marked together
+LONG_LINE_GRIDS = [
+    ((40000,), (1.0,), 0.001),
+    ((70001,), (0.7,), 0.0004),
+    ((3, 40000), None, 0.01),
+    ((3, 40000), (0.01, 1.0), 0.03),
+    ((5, 20011), (0.02, 0.9), 0.04),
+]
 
 
 @pytest.mark.parametrize("cells,weights,eps", LONG_LINE_GRIDS)
 def test_long_line_grid_matches_per_ball(cells, weights, eps):
     grid = TorusGridSample(cells=cells, weights=weights)
-    assert grid.size > dimension._SCATTER_CHUNK
+    assert grid.cells[-1] > dimension._SCATTER_CHUNK
+    assert grid_counts(grid, eps) == reference_grid_counts(grid, eps)
+
+
+def _lines_walked(monkeypatch, grid, radius, advances):
+    """Lines of one walk on which the grid greedy placed balls (n = 2, one window a line)."""
+    lines = []
+    ball_centers = dimension._ball_centers
+
+    def recording(unset, p, a, w):
+        centers = ball_centers(unset, p, a, w)
+        lines.append(centers.size)
+        return centers
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dimension, "_ball_centers", recording)
+        dimension._grid_greedy(grid, radius, advances)
+    return sum(1 for balls in lines if balls)
+
+
+def test_line_wide_dilation_grid_matches_per_ball(monkeypatch):
+    # the widest stencil row reaches m/2 = 3 cells along the last axis, so a line's
+    # centers grow onto the whole line, and the balls of many lines mark lines ahead
+    grid = TorusGridSample(cells=(12, 6), weights=(1.0, 0.2))
+    eps = 0.6
+    for radius, advances in _walks(grid, eps):
+        assert 2 * _reach(grid, 1, radius) >= grid.cells[1]
+        assert _reach(grid, 0, radius) >= 1
+        assert _lines_walked(monkeypatch, grid, radius, advances) > 1
     assert grid_counts(grid, eps) == reference_grid_counts(grid, eps)
 
 
