@@ -303,6 +303,8 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
         half = np.count_nonzero(mask, axis=1) // 2  # of each stencil row's run of the last axis
         head_rows = heads // m
         dilate = _line_dilation(m, int(half.max()))
+        widths_ahead = half[reaches[0] - advances[0] + 1 :]
+        top_ahead = int(widths_ahead.max(initial=0))
         marks = flags.reshape(-1, m)  # one row per line of the buffer
     count = 0
     i = _next_unset(scan, 0)
@@ -331,15 +333,22 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
             if x + advances[k] < reaches[k]:
                 first = 0
             fast = fast and reaches[k] <= x + advances[k] < cells[k] - reaches[k]
-        if n == 2:
+        if n == 2 and fast:
+            # a stencil that wraps on no axis marks the lines just after this one,
+            # which the buffer holds in the rows just after its row
+            rows = slice(start // m + 1, start // m + 1 + widths_ahead.size)
+            widths, top = widths_ahead, top_ahead
+        elif n == 2:
             # stencil rows from `first` on mark their target lines, routed as the
-            # scatter routes its starts
+            # scatter routes its starts; a row repeats only when m_0 = 2 r_0, at the
+            # stencil's first and last rows, which have the same width
             q = 0 if first == 0 else reaches[0] - advances[0] + 1
             rows = head_rows[key + q : key + half.size] - origin
             rows[rows >= held] += origin + held - split
             kept = rows >= 0
             rows = rows[kept]
             widths = half[q:][kept]
+            top = int(widths.max(initial=0))
         elif fast:
             offsets = last[ahead:]
             base = heads[key] - origin * m
@@ -377,16 +386,9 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
                         break
                     np.subtract(idx[b], m, out=idx[b], where=offsets >= m - batch[b])
                 flags[idx] = True
-        if n == 2 and rows.size:
+        if n == 2 and widths.size:
             # each row ORs the line's centers, grown to its half-width, into its line
-            grown = dilate(np.concatenate(found), int(widths.max()))[widths]
-            if fast and rows[-1] - rows[0] == rows.size - 1:
-                # a stencil that wraps on no axis marks consecutive rows
-                marks[rows[0] : rows[-1] + 1] |= grown
-            else:
-                # a row repeats only when m_0 = 2 r_0, at the stencil's first and
-                # last rows, which have the same width
-                marks[rows] |= grown
+            marks[rows] |= dilate(np.concatenate(found), top)[widths]
         i = _next_unset(scan, start + m)
 
 
