@@ -247,16 +247,19 @@ def _flat_config(config: RunConfig) -> dict:
     return {k: v for k, v in asdict(config).items() if v is not None}
 
 
+def _check_phases(f, t: float) -> None:
+    # a float64 phase lambda_j * t is off by up to |lambda_j * t| * 2**-52 rad; inf fails too
+    if any(abs(lam * t) >= 2.0**52 for lam in f.exponents_float.tolist()):
+        raise ConfigError(
+            f"|lambda_j * t| >= 2**52 at t = {t!r}: the float64 phase error "
+            "bound |lambda_j * t| * 2**-52 rad reaches 1 rad"
+        )
+
+
 def _cmd_eval(config: RunConfig) -> int:
     _require(config, "signal", "t")
     f = _parse_signal_checked(config.signal)
-    # the float64 phase lambda_j * t is off by at most |lambda_j * t| * 2**-52 rad;
-    # a phase that overflows to inf fails the same test
-    if any(abs(lam * config.t) >= 2.0**52 for lam in f.exponents_float.tolist()):
-        raise ConfigError(
-            f"|lambda_j * t| >= 2**52 at t = {config.t!r}: the float64 phase error "
-            "bound |lambda_j * t| * 2**-52 rad reaches 1 rad"
-        )
+    _check_phases(f, config.t)
     value = evaluate(f, config.t)
     payload = {
         "t": config.t,
@@ -280,6 +283,8 @@ def _cmd_scan(config: RunConfig) -> int:
     eps = _single_eps(config)
     window = parse_window_spec(config.window)
     f = _parse_signal_checked(config.signal)
+    for t in window:  # |lambda_j * t| is largest at an end of the window
+        _check_phases(f, t)
     step = config.step if config.step is not None else eps / (4.0 * lipschitz_constant(f))
     scan = sublevel_scan(f, eps, window, step, max_grid_points=config.grid)
     L_lower, L_upper = inclusion_length(scan)

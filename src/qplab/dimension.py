@@ -191,11 +191,11 @@ def _ball_centers(unset: np.ndarray, p: int, a: int, w: int) -> np.ndarray:
     return np.array(centers, dtype=np.intp)
 
 
-def _line_dilation(m: int, R: int) -> Callable[[np.ndarray, int], np.ndarray]:
-    """``dilate(centers, top)`` for a line of m cells, with top <= R <= m/2.
+def _line_dilation(m: int, R: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``dilate(centers)`` for a line of m cells, with R <= m/2.
 
-    It returns a view whose row h, for h <= top, flags the cells within h of
-    a center, circularly. The buffers are made once: column j stands for cell
+    It returns a view whose row h, for h <= R, flags the cells within h of a
+    center, circularly. The buffers are made once: column j stands for cell
     (j - R) mod m, and row h is exact in columns h to m + 2R - h. ``grow``
     flags the cells at most one past a center, so each row is one OR: row h at
     column j is row h - 1 at column j + 1 (centers from h - 2 before j to h
@@ -212,13 +212,13 @@ def _line_dilation(m: int, R: int) -> Callable[[np.ndarray, int], np.ndarray]:
     ]
     cells = stack[:, R : R + m]
 
-    def dilate(centers: np.ndarray, top: int) -> np.ndarray:
+    def dilate(centers: np.ndarray) -> np.ndarray:
         line[:] = False
         line[centers % m + R] = True
         for pad, source in pads:
             pad[:] = source
         np.logical_or(line[1:], line[:-1], out=grow[1:])
-        for before, grown, out in steps[:top]:
+        for before, grown, out in steps:
             np.logical_or(before, grown, out=out)
         return cells
 
@@ -234,28 +234,30 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
     of the last axis, so the line's balls follow from its unset positions
     alone. They are then marked together. For n = 2 each stencil row is a run
     of half-width h along the last axis, so it marks on its target line the
-    cells within h of any center: the line's centers grown by h cells. That is
-    done once the whole line is read, since no window of a line reads a mark on
-    another line, and on its own line a ball marks the interval the chain has
-    already passed. For other n the flat index of each stencil cell is its
-    line's start plus its last-axis offset, with the few cells past an end of
-    the line moved by m, and each window's balls are one scatter. A ball wraps
-    onto itself only when an axis has m even and reach m/2; its stencil then
-    holds the cell at offset +-m/2 twice, and marking a cell twice does nothing.
+    line's centers grown by h cells, once the line is read: no window of a line
+    reads a mark on another line, and on its own line a ball marks the interval
+    the chain has passed. The rows after the line's own mark a slice of the
+    rows after its row, those wrapping below line 0 a slice of the last planes.
+    For other n the flat index of each stencil cell is its line's start plus
+    its last-axis offset, with the few cells past an end of the line moved by
+    m, and each window's balls are one scatter. A ball wraps onto itself only
+    when an axis has m even and reach m/2; its stencil then holds the cell at
+    offset +-m/2 twice, and marking a cell twice does nothing.
 
     Flags live in one buffer: W + ceil(W/2) held lines from line ``origin`` on,
     where no ball read on a line marks W or more lines past it, then the last
     planes, lines ``split`` on, which marks wrapping below 0 along axis 0
     reach. Once the scan is ceil(W/2) lines past origin, the held lines slide up
     to its line, but never past the last planes. Marks before origin are
-    dropped, since every cell before the scan is covered; where a mark lands
-    depends only on its line, so it is routed once per line. This is exact
-    because:
+    dropped, since every cell before the scan is covered; where a scattered
+    mark lands depends only on its line, so it is routed once per line. This is
+    exact because:
     - before the last slide the scan is less than ceil(W/2) lines past origin,
       so no mark reaches past origin + held;
     - marks past the held lines come only from balls that wrap below 0 along
       axis 0, and they land on lines from split on;
-    - after the last slide, row L - origin is line L for every line left.
+    - after the last slide, row L - origin is line L for every line left; a
+      row past the buffer's end is a line from m_0 on, wrapped onto one passed.
     """
     cells = sample.cells
     n = len(cells)
@@ -301,10 +303,10 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
     chunk = max(1, _SCATTER_CHUNK // last.size)
     if n == 2:
         half = np.count_nonzero(mask, axis=1) // 2  # of each stencil row's run of the last axis
-        head_rows = heads // m
-        dilate = _line_dilation(m, int(half.max()))
-        widths_ahead = half[reaches[0] - advances[0] + 1 :]
-        top_ahead = int(widths_ahead.max(initial=0))
+        behind = reaches[0] - advances[0]  # the line's own stencil row
+        # a row that wraps below line 0 mirrors one after the line's own: none is wider
+        half_ahead = half[behind + 1 :]
+        dilate = _line_dilation(m, int(half_ahead.max(initial=0)))
         marks = flags.reshape(-1, m)  # one row per line of the buffer
     count = 0
     i = _next_unset(scan, 0)
@@ -333,22 +335,8 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
             if x + advances[k] < reaches[k]:
                 first = 0
             fast = fast and reaches[k] <= x + advances[k] < cells[k] - reaches[k]
-        if n == 2 and fast:
-            # a stencil that wraps on no axis marks the lines just after this one,
-            # which the buffer holds in the rows just after its row
-            rows = slice(start // m + 1, start // m + 1 + widths_ahead.size)
-            widths, top = widths_ahead, top_ahead
-        elif n == 2:
-            # stencil rows from `first` on mark their target lines, routed as the
-            # scatter routes its starts; a row repeats only when m_0 = 2 r_0, at the
-            # stencil's first and last rows, which have the same width
-            q = 0 if first == 0 else reaches[0] - advances[0] + 1
-            rows = head_rows[key + q : key + half.size] - origin
-            rows[rows >= held] += origin + held - split
-            kept = rows >= 0
-            rows = rows[kept]
-            widths = half[q:][kept]
-            top = int(widths.max(initial=0))
+        if n == 2:
+            found = []  # the line's centers, marked once the line is read
         elif fast:
             offsets = last[ahead:]
             base = heads[key] - origin * m
@@ -363,7 +351,6 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
             cells_of_line = starts[kept] + offsets
         if p + a < w:  # only the line's first ball wraps past 0: mark its tail before the read
             flags[start + m + p + a - w : start + m] = True
-        found = []
         while p < m:
             # the line's balls, a window of cells at a time
             stop = min(m, p + _SCATTER_CHUNK)
@@ -386,9 +373,14 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
                         break
                     np.subtract(idx[b], m, out=idx[b], where=offsets >= m - batch[b])
                 flags[idx] = True
-        if n == 2 and widths.size:
-            # each row ORs the line's centers, grown to its half-width, into its line
-            marks[rows] |= dilate(np.concatenate(found), top)[widths]
+        if n == 2:
+            # each stencil row ORs the line's centers, grown to its half-width, into its line
+            grown = dilate(np.concatenate(found))
+            after = marks[start // m + 1 :][: half_ahead.size]
+            after |= grown[half_ahead[: len(after)]]
+            wrap = behind - x
+            if wrap > 0:
+                marks[held + cells[0] - wrap - split :][:wrap] |= grown[half[:wrap]]
         i = _next_unset(scan, start + m)
 
 

@@ -199,6 +199,32 @@ def test_eval_overflowing_phase_is_input_error(t, capsys):
     _assert_phase_rejected(float(t), capsys)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_scan_phase_without_correct_digit_is_input_error(sign, capsys):
+    # the scan evaluates D across its window, so both ends get eval's phase check
+    def scan(end):
+        window = sorted((sign * end, sign * (end - 1.0)))
+        return run_cli(["scan", "--signal", "golden", "--eps", "3.5", f"--window={window[0]!r}:{window[1]!r}"])
+
+    t_max = _largest_accepted_t("golden")
+    assert scan(t_max) == 0
+    assert json.loads(capsys.readouterr().out)["window"] == sorted((sign * t_max, sign * (t_max - 1.0)))
+    t = math.nextafter(t_max, math.inf)
+    assert scan(t) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: |lambda_j * t| >= 2**52 at t = {sign * t!r}: the float64 phase error "
+        "bound |lambda_j * t| * 2**-52 rad reaches 1 rad\n"
+    )
+
+
+def test_scan_past_the_phase_bound_is_input_error(capsys):
+    # the grid step 0.0015 is below ulp(1e15) = 0.125, and |lambda_j * 1e15| > 2**52
+    assert run_cli(["scan", "--signal", "golden", "--eps", "0.1", "--window", "1e15:1.00000000001e15"]) == 1
+    assert capsys.readouterr().err.startswith("error: |lambda_j * t| >= 2**52 at t = 1000000000000000.0: ")
+
+
 def test_missing_signal_is_input_error(capsys):
     assert run_cli(["eval", "--t", "1.0"]) == 1
     assert "requires --signal" in capsys.readouterr().err

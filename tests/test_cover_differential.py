@@ -2,9 +2,11 @@
 
 The torus-grid greedy works one line of the last axis at a time, marks a
 line's balls together (for n = 2 by growing the line's centers to each stencil
-row's half-width, otherwise in one scatter), and holds its flags for a band of
-lines that slides until it meets the grid's last planes; the orbit-segment
-greedy marks each ball's lag offsets, the k with D(k h) below the radius. Both must give exactly the counts
+row's half-width and ORing them through two slices of the flags, the rows after
+the line's own and the rows that wrap below line 0, otherwise in one scatter),
+and holds its flags for a band of lines that slides until it meets the grid's
+last planes; the orbit-segment greedy marks each ball's lag offsets, the k with
+D(k h) below the radius. Both must give exactly the counts
 of the per-ball references kept here: the grid greedy that finds each first
 unset cell and marks one ball at a time (``_grid_mark``, ``_next_unset``, and
 ``_grid_mark_slow`` from full per-axis distances when a ball wraps onto itself
@@ -533,6 +535,66 @@ def test_window_grid_layout_case_occurs(monkeypatch, kind, cells, weights, eps):
             after = [start for size, start in calls if size == whole]
             occurs |= w.held < w.split < w.lines and bool(after) and after[0] >= 2 * m
     assert occurs
+
+
+def _lines_read(monkeypatch, grid, radius, advances):
+    """(x, origin, row) of every line an n = 2 walk reads: the line x from the first
+    unset cells of the per-ball reference, its buffer row from the scan after it."""
+    m = grid.cells[-1]
+    lines = []
+    reference_scan = _next_unset
+
+    def recording(flat, start, block=512):
+        i = reference_scan(flat, start, block)
+        if i >= 0 and (not lines or lines[-1] != i // m):
+            lines.append(i // m)
+        return i
+
+    with monkeypatch.context() as patch:
+        patch.setitem(globals(), "_next_unset", recording)
+        _reference_grid(grid, radius, advances, 0)
+    # every scan but the first and those after a slide starts on the line after a read one
+    rows = [start // m - 1 for _, start in _scan_calls(monkeypatch, grid, radius, advances) if start >= m]
+    assert len(rows) == len(lines)
+    return [(x, x - row, row) for x, row in zip(lines, rows)]
+
+
+# n = 2 grids on which an edge of the two slices that mark a line's stencil rows occurs:
+# - "wrap_after_slide": a line whose rows wrap below line 0 is read after a slide;
+# - "cut_at_end": after the last slide, the slice of rows after a line's own is cut
+#   at the buffer's end;
+# - "same_line": m_0 = 2 r_0, and a wrapped row and a row after the line's own mark
+#   the same line
+MARKING_SLICE_GRIDS = [
+    ((60, 20), (1.0, 0.5), 0.4, "wrap_after_slide"),
+    ((202, 202), (1.0, 1.0), 0.25, "wrap_after_slide"),  # golden's hull grid at 0.25
+    ((60, 20), (1.0, 0.5), 0.4, "cut_at_end"),
+    ((202, 202), (1.0, 1.0), 0.25, "cut_at_end"),
+    ((20, 15), (1.0, 1.0), 1.2, "same_line"),
+    ((16, 12), (1.0, 0.5), 1.2, "same_line"),
+]
+
+
+@pytest.mark.parametrize("cells,weights,eps,case", MARKING_SLICE_GRIDS)
+def test_marking_slice_case_occurs(monkeypatch, cells, weights, eps, case):
+    grid = TorusGridSample(cells=cells, weights=weights)
+    m0 = cells[0]
+    occurs = False
+    for radius, adv in _walks(grid, eps):
+        w = _layout(grid, radius, adv)
+        ahead = w.r0 + adv[0]  # stencil rows after the line's own
+        rows = w.held + w.lines - w.split  # the buffer's lines
+        for x, origin, row in _lines_read(monkeypatch, grid, radius, adv):
+            wrap = w.r0 - adv[0] - x  # stencil rows that wrap below line 0
+            if case == "wrap_after_slide":
+                occurs |= wrap > 0 and origin > 0
+            elif case == "cut_at_end":
+                occurs |= origin > 0 and origin + w.held == w.split and row + ahead >= rows
+            else:
+                # the first stencil row, wrapped, and the last mark the same buffer row
+                occurs |= m0 == 2 * w.r0 and wrap > 0 and w.held + m0 - wrap - w.split == row + ahead
+    assert occurs
+    assert grid_counts(grid, eps) == reference_grid_counts(grid, eps)
 
 
 @pytest.fixture(scope="module")
