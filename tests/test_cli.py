@@ -220,9 +220,12 @@ def test_scan_phase_without_correct_digit_is_input_error(sign, capsys):
 
 
 def test_scan_past_the_phase_bound_is_input_error(capsys):
-    # the grid step 0.0015 is below ulp(1e15) = 0.125, and |lambda_j * 1e15| > 2**52
+    # the grid step 0.0015 is below ulp(1e15) = 0.125; the window's lower end is named
     assert run_cli(["scan", "--signal", "golden", "--eps", "0.1", "--window", "1e15:1.00000000001e15"]) == 1
-    assert capsys.readouterr().err.startswith("error: |lambda_j * t| >= 2**52 at t = 1000000000000000.0: ")
+    assert capsys.readouterr().err == (
+        "error: |lambda_j * t| >= 2**52 at t = 1000000000000000.0: the float64 phase error "
+        "bound |lambda_j * t| * 2**-52 rad reaches 1 rad\n"
+    )
 
 
 def test_missing_signal_is_input_error(capsys):
