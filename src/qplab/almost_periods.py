@@ -111,8 +111,9 @@ def sublevel_scan(
     With C the Lipschitz constant of D and h the actual grid step, a grid
     point with D < eps - C*h certifies the closed step-neighborhood around it
     (inner), and every member of the sublevel set lies within h/2 of a grid
-    point with D < eps + C*h (outer). Requires step <= eps/(4C). A step of 0,
-    which eps/(4C) underflows to for tiny eps, needs more grid points than any cap.
+    point with D < eps + C*h (outer). Requires step <= eps/(4C), and h at least
+    ulp(tau) at the window's ends, below which grid points round together. A
+    step of 0, which eps/(4C) underflows to, needs more grid points than any cap.
 
     D is evaluated only where every term is within reach of one of its zeros
     2*pi*k/|lambda_j|. Beyond that reach the term alone is at least the outer
@@ -132,13 +133,14 @@ def sublevel_scan(
         raise ValueError("window must have positive width")
     C = lipschitz_constant(f)
     if step > eps / (4.0 * C):
-        raise StepTooCoarse(
-            f"step {step:g} exceeds eps/(4C) = {eps / (4.0 * C):g}"
-        )
+        raise StepTooCoarse(f"step {step:g} exceeds eps/(4C) = {eps / (4.0 * C):g}")
     m = grid_count(hi - lo, step)
     if m + 1 > max_grid_points:
         raise BudgetExceeded(f"scan grid needs {m + 1} points, cap is {max_grid_points}")
     h = (hi - lo) / m
+    ulp = math.ulp(max(abs(lo), abs(hi)))
+    if h < ulp:
+        raise ValueError(f"grid step {h:g} is below ulp(tau) = {ulp:g} at the window's ends")
     inner_cut = eps - C * h
     outer_cut = eps + C * h
 

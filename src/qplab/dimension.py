@@ -33,8 +33,8 @@ MAX_CELLS = 2**27
 MAX_SEGMENT_POINTS = 2**24
 # hull grids and orbit segments are SAFETY times finer than the radius needs
 SAFETY = 4.0
-_SCATTER_CHUNK = 2**14  # grid greedy: flat indices per scatter, cells per window of a line
-_TABLE_CELLS = 64  # grid greedy: unset cells from which a window's chain is cheaper from a table than walked
+_SCATTER_CHUNK = 2**14  # grid greedy: flat indices per scatter batch of an n >= 3 line's balls
+_TABLE_CELLS = 64  # grid greedy: unset cells from which a line's chain is cheaper from a table than walked
 
 
 def orbit_angles(f: QuasiperiodicSignal, s: float) -> np.ndarray:
@@ -164,13 +164,14 @@ def _cover_advances(sample: TorusGridSample, radius: float) -> list[int]:
 
 
 def _ball_centers(unset: np.ndarray, p: int, a: int, w: int) -> np.ndarray:
-    """Last-axis centers of the balls that a window of a line calls for.
+    """Last-axis centers of the balls that a line calls for.
 
-    ``unset`` flags the window's unset cells, from position p on. Each ball is
-    centered a past the first unset cell that no earlier ball reaches, and
-    reaches w cells either side of its center. On a window with many unset
-    cells one search gives each the first unset cell past its ball's reach,
-    and the chain follows that table; a few cells are simply walked in order.
+    ``unset`` flags the line's unset cells from position p on, short of the
+    first ball's wrapped tail. Each ball is centered a past the first unset
+    cell that no earlier ball reaches, and reaches w cells either side of its
+    center. On a line with many unset cells one search gives each the first
+    unset cell past its ball's reach, and the chain follows that table; a few
+    cells are simply walked in order.
     """
     cells = np.flatnonzero(unset)
     if cells.size >= _TABLE_CELLS:
@@ -229,20 +230,21 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
     """Count greedy balls: each is centered at the first unset cell plus ``advances``
     and marks every cell within radius.
 
-    The grid is walked one line of the last axis at a time. On the line of its
-    first unset cell every ball covers the same interval [c - w, c + w] (mod m)
-    of the last axis, so the line's balls follow from its unset positions
-    alone. They are then marked together. For n = 2 each stencil row is a run
-    of half-width h along the last axis, so it marks on its target line the
-    line's centers grown by h cells, once the line is read: no window of a line
-    reads a mark on another line, and on its own line a ball marks the interval
-    the chain has passed. The rows after the line's own mark a slice of the
-    rows after its row, those wrapping below line 0 a slice of the last planes.
-    For other n the flat index of each stencil cell is its line's start plus
-    its last-axis offset, with the few cells past an end of the line moved by
-    m, and each window's balls are one scatter. A ball wraps onto itself only
-    when an axis has m even and reach m/2; its stencil then holds the cell at
-    offset +-m/2 twice, and marking a cell twice does nothing.
+    On the line of its first unset cell every ball covers the same interval
+    [c - w, c + w] (mod m) of the last axis, and only the line's first ball can
+    wrap past 0. So n = 1, one line, has a closed form: a chain from cell 0 in
+    steps of a + w + 1 up to that ball's tail [m + a - w, m). Other grids are
+    walked a line of the last axis at a time: one read, up to short of the tail,
+    gives the line's balls, which are then marked together, since on its own
+    line a ball marks only the tail and cells the chain has passed. For n = 2 a
+    stencil row is a run of half-width h along the last axis; it ORs the line's
+    centers, grown by h cells, into its line through a slice of the rows after
+    the line's row, or of the last planes if it wraps below line 0. For n >= 3
+    each stencil cell's flat index is its line's start plus its last-axis
+    offset, moved by m past an end of the line, and each batch of balls is one
+    scatter. A ball wraps onto itself only when an axis has m even and reach
+    m/2; its stencil then holds the cell at offset +-m/2 twice, and marking a
+    cell twice does nothing.
 
     Flags live in one buffer: W + ceil(W/2) held lines from line ``origin`` on,
     where no ball read on a line marks W or more lines past it, then the last
@@ -267,6 +269,8 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
     m, a, r = cells[-1], advances[-1], reaches[-1]
     # the stencil row through the first unset cell; symmetric and contiguous
     w = int(np.count_nonzero(mask[tuple(q - b for q, b in zip(reaches[:-1], advances[:-1]))])) // 2
+    if n == 1:
+        return -(-(m - max(0, w - a)) // (a + w + 1))
     # heads[i_0, ..., i_{n-2}] is the flat start of the line at head coordinates
     # (i_k - r_k) mod m_k: the stencil cell at head offsets o_k of a ball centered
     # at x_k + b_k lies on heads[x_k + b_k + o_k + r_k], wrapped on every head axis
@@ -278,13 +282,12 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
     heads = heads.ravel()
     coords = np.nonzero(mask)  # lexicographic order, offset o_k stored as o_k + r_k
     last = coords[-1] - r  # offsets along the last axis, in [-r, r]
-    head_offsets = sum((coords[k] * head_strides[k] for k in range(n - 1)), np.zeros_like(last))
+    head_offsets = sum(coords[k] * head_strides[k] for k in range(n - 1))
     # stencil cells from `ahead` on fall on lines after the line of the first unset
     # cell; the others fall on that line or earlier ones, which are never read again,
     # unless the ball wraps past 0 along a head axis onto a later line
-    ahead = int(np.searchsorted(
-        head_offsets, sum((reaches[k] - advances[k]) * head_strides[k] for k in range(n - 1)), "right"
-    ))
+    own = sum((reaches[k] - advances[k]) * head_strides[k] for k in range(n - 1))  # the line itself
+    ahead = int(np.searchsorted(head_offsets, own, "right"))
     # on a line whose stencil wraps on no head axis, those cells lie at flat_ahead
     # from the start of the line at head coordinates x_k + b_k - r_k
     flat_ahead = sum(
@@ -326,40 +329,37 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
         line, p = divmod(i, m)
         start = line * m
         line += origin
-        key = 0
-        first = ahead
-        fast = True
+        key, first, fast = 0, ahead, True
         for k in range(n - 2, -1, -1):
             line, x = divmod(line, cells[k])
             key += (x + advances[k]) * head_strides[k]
             if x + advances[k] < reaches[k]:
                 first = 0
             fast = fast and reaches[k] <= x + advances[k] < cells[k] - reaches[k]
+        # the line's balls: only the first can wrap past 0, and the read stops short of its tail
+        centers = _ball_centers(~flags[start + p : start + m + min(0, p + a - w)], p, a, w)
+        count += centers.size
         if n == 2:
-            found = []  # the line's centers, marked once the line is read
-        elif fast:
-            offsets = last[ahead:]
-            base = heads[key] - origin * m
-            cells_of_line = flat_ahead
+            # each stencil row ORs the line's centers, grown to its half-width, into its line
+            grown = dilate(centers)
+            after = marks[start // m + 1 :][: half_ahead.size]
+            after |= grown[half_ahead[: len(after)]]
+            wrap = behind - x
+            if wrap > 0:
+                marks[held + cells[0] - wrap - split :][:wrap] |= grown[half[:wrap]]
         else:
-            # lines past the held ones are in the last planes' rows; those before origin are covered
-            starts = heads[key:][head_offsets[first:]] - origin * m
-            starts[starts >= held * m] += (origin + held - split) * m
-            kept = starts >= 0
-            offsets = last[first:][kept]
-            base = 0
-            cells_of_line = starts[kept] + offsets
-        if p + a < w:  # only the line's first ball wraps past 0: mark its tail before the read
-            flags[start + m + p + a - w : start + m] = True
-        while p < m:
-            # the line's balls, a window of cells at a time
-            stop = min(m, p + _SCATTER_CHUNK)
-            centers = _ball_centers(~flags[start + p : start + stop], p, a, w)
-            p = max(stop, int(centers[-1]) + w + 1) if centers.size else stop
-            count += centers.size
-            if n == 2:
-                found.append(centers)
-                continue
+            if fast:
+                offsets = last[ahead:]
+                base = heads[key] - origin * m
+                cells_of_line = flat_ahead
+            else:
+                # lines past the held ones are in the last planes' rows; those before origin are covered
+                starts = heads[key:][head_offsets[first:]] - origin * m
+                starts[starts >= held * m] += (origin + held - split) * m
+                kept = starts >= 0
+                offsets = last[first:][kept]
+                base = 0
+                cells_of_line = starts[kept] + offsets
             for lo in range(0, centers.size, chunk):
                 batch = centers[lo : lo + chunk]
                 idx = np.add.outer(batch + base, cells_of_line)
@@ -373,14 +373,6 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
                         break
                     np.subtract(idx[b], m, out=idx[b], where=offsets >= m - batch[b])
                 flags[idx] = True
-        if n == 2:
-            # each stencil row ORs the line's centers, grown to its half-width, into its line
-            grown = dilate(np.concatenate(found))
-            after = marks[start // m + 1 :][: half_ahead.size]
-            after |= grown[half_ahead[: len(after)]]
-            wrap = behind - x
-            if wrap > 0:
-                marks[held + cells[0] - wrap - split :][:wrap] |= grown[half[:wrap]]
         i = _next_unset(scan, start + m)
 
 

@@ -201,10 +201,11 @@ def test_eval_overflowing_phase_is_input_error(t, capsys):
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_scan_phase_without_correct_digit_is_input_error(sign, capsys):
-    # the scan evaluates D across its window, so both ends get eval's phase check
+    # the scan evaluates D across its window, so both ends get eval's phase check;
+    # floats there are 0.0625 apart, and eps = 4.5 asks for a step of 0.068 above that
     def scan(end):
         window = sorted((sign * end, sign * (end - 1.0)))
-        return run_cli(["scan", "--signal", "golden", "--eps", "3.5", f"--window={window[0]!r}:{window[1]!r}"])
+        return run_cli(["scan", "--signal", "golden", "--eps", "4.5", f"--window={window[0]!r}:{window[1]!r}"])
 
     t_max = _largest_accepted_t("golden")
     assert scan(t_max) == 0
@@ -226,6 +227,20 @@ def test_scan_past_the_phase_bound_is_input_error(capsys):
         "error: |lambda_j * t| >= 2**52 at t = 1000000000000000.0: the float64 phase error "
         "bound |lambda_j * t| * 2**-52 rad reaches 1 rad\n"
     )
+
+
+def test_scan_step_below_ulp_is_input_error(capsys):
+    # near 4.4e14 the floats are 0.0625 apart, so grid points 0.0152 apart would round together
+    def scan(window):
+        return run_cli(["scan", "--signal", "golden", "--eps", "1", "--window", window])
+
+    assert scan("442988310126042.56:442988310126052.56") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: grid step 0.0151976 is below ulp(tau) = 0.0625 at the window's ends\n"
+    # ten times nearer 0 the floats are 0.0078125 apart, below the step
+    assert scan("44298831012604.56:44298831012614.56") == 0
+    assert json.loads(capsys.readouterr().out)["step"] == 0.015197568389057751
 
 
 def test_missing_signal_is_input_error(capsys):

@@ -352,8 +352,8 @@ def _all_grids(golden, sqrt23):
     return grids + [_random_grid(seed) for seed in range(16)]
 
 
-# grids whose line is longer than one scan window of _SCATTER_CHUNK cells: n = 1,
-# then n = 2, where a line's balls from several windows are grown and marked together
+# grids whose line is longer than _SCATTER_CHUNK cells: n = 1, counted in closed form,
+# then n = 2, where such a line is read in one piece and its balls grown and marked together
 LONG_LINE_GRIDS = [
     ((40000,), (1.0,), 0.001),
     ((70001,), (0.7,), 0.0004),
@@ -371,7 +371,7 @@ def test_long_line_grid_matches_per_ball(cells, weights, eps):
 
 
 def _lines_walked(monkeypatch, grid, radius, advances):
-    """Lines of one walk on which the grid greedy placed balls (n = 2, one window a line)."""
+    """Lines of one walk on which the grid greedy placed balls (n = 2, one read a line)."""
     lines = []
     ball_centers = dimension._ball_centers
 
@@ -483,6 +483,21 @@ def _window_grids(kind, count):
     return out
 
 
+# n = 1 grids for the closed form ceil((m - max(0, w - a)) / (a + w + 1)), with the
+# cover's a = w and the packing's a = 0 < w unless w = 0: m = 1 and 2; m = 2 and 6,
+# where the packing's ball reaches m/2 and wraps onto itself; m = 12, 13, 40 and 41,
+# where m, or m - w for the packing, is 0 or 1 mod a + w + 1
+LINE_GRIDS = [
+    ((1,), None, 0.5),
+    ((2,), (0.7,), 0.5),
+    ((2,), None, 4.0),
+    ((6,), None, 1.7),
+    ((12,), (1.0,), 0.5),
+    ((13,), (1.0,), 0.5),
+    ((40,), None, 0.3),
+    ((41,), None, 0.3),
+]
+
 WINDOW_GRIDS = [
     (kind, *case)
     for kind, count in (
@@ -490,7 +505,7 @@ WINDOW_GRIDS = [
         ("split_in_held", 12),
     )
     for case in _window_grids(kind, count)
-]
+] + [("line", *case) for case in LINE_GRIDS]
 
 
 @pytest.mark.parametrize("kind,cells,weights,eps", WINDOW_GRIDS)
@@ -608,7 +623,8 @@ def small_grid_references(golden, sqrt23):
 
 @pytest.mark.parametrize("chunk", [3, 7, 64])
 def test_small_scan_windows_match_per_ball(monkeypatch, small_grid_references, chunk):
-    # windows of a few cells carry the scan position across windows on every line
+    # _SCATTER_CHUNK sizes the scatter batches only: with a few flat indices a batch,
+    # an n >= 3 line's balls are marked one batch of one or a few balls at a time
     monkeypatch.setattr(dimension, "_SCATTER_CHUNK", chunk)
     for grid, eps, reference in small_grid_references:
         assert grid_counts(grid, eps) == reference, (grid.cells, grid.weights, eps)

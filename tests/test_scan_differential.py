@@ -190,23 +190,24 @@ def test_every_term_families_across_small_chunks_match_dense(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "lam,k,side,eps,step",
+    "lam,k,side,eps",
     [
-        (5.25, 3 * 10**8, -1.0, 0.5, 2e-10),
-        (6.25, -(10**8), 1.0, 1.5, 1e-10),
-        (1.5, 9 * 10**8, 1.0, 1.0, 5e-10),
-        (8.0, -8 * 10**8, -1.0, 0.75, 2e-10),
+        (5.25, 3 * 10**8, -1.0, 0.5),
+        (6.25, -(10**8), 1.0, 1.5),
+        (1.5, 9 * 10**8, 1.0, 1.0),
+        (8.0, -8 * 10**8, -1.0, 0.75),
     ],
 )
-def test_member_at_a_block_edge_far_from_zero_matches_dense(lam, k, side, eps, step):
+def test_member_at_a_block_edge_far_from_zero_matches_dense(lam, k, side, eps):
     # one term, so no other term can exclude a grid point: at the edge of the
     # zero block of 2*pi*k/lam, a point whose computed D is just below the outer
     # cut must lie in the block. Far from 0, tau, the zero and the phase each
-    # round by up to about 1e-7, far beyond the two-step pad, so the reach needs
-    # its 1e-12*max(1, |lo|, |hi|) allowance. The window spans 80 ulps of tau
+    # round by up to about 1e-7. The step is ulp(tau), the finest one the scan
+    # accepts there, and the window spans 80 steps
     f = QuasiperiodicSignal([(1.0, lam)])
+    step = math.ulp(2.0 * math.pi * k / lam)
     edge = 2.0 * math.pi * k / lam + side * (2.0 / lam) * math.asin((eps + lam * step) / 2.0)
-    window = (edge - 40 * math.ulp(edge), edge + 40 * math.ulp(edge))
+    window = (edge - 40 * step, edge + 40 * step)
     scan = sublevel_scan(f, eps, window, step)
     assert scan == dense_sublevel_scan(f, eps, window, step)
     # the window holds the block's edge, and the members next to it have D just below the cut
