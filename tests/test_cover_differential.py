@@ -623,8 +623,8 @@ def small_grid_references(golden, sqrt23):
 
 @pytest.mark.parametrize("chunk", [3, 7, 64])
 def test_small_scan_windows_match_per_ball(monkeypatch, small_grid_references, chunk):
-    # _SCATTER_CHUNK sizes the scatter batches only: with a few flat indices a batch,
-    # an n >= 3 line's balls are marked one batch of one or a few balls at a time
+    # _SCATTER_CHUNK sizes scatter batches only: batches of a few flat indices mark
+    # an n >= 3 line's balls one or a few at a time
     monkeypatch.setattr(dimension, "_SCATTER_CHUNK", chunk)
     for grid, eps, reference in small_grid_references:
         assert grid_counts(grid, eps) == reference, (grid.cells, grid.weights, eps)
