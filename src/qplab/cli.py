@@ -11,10 +11,7 @@ import argparse
 import math
 import sys
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from typing import get_args, get_type_hints
-
-from mpmath import mp
 
 from . import verify as verify_mod
 from .almost_periods import (
@@ -33,7 +30,7 @@ from .diophantine import (
 )
 from .dimension import dimension_fit, equivalence_constants, hull_dimension_report
 from .errors import BudgetExceeded, ConfigError, QplabError
-from .precision import golden_ratio, set_working_precision, sqrt2, sqrt3
+from .precision import parse_constant, parse_float, set_working_precision
 from .reports import render_csv, render_json, write_text
 from .signal import (
     evaluate,
@@ -41,15 +38,6 @@ from .signal import (
     parse_signal,
     suspected_rational_relation,
 )
-
-_CONSTANTS = {
-    "phi": golden_ratio,
-    "sqrt2": sqrt2,
-    "sqrt3": sqrt3,
-    "pi": lambda: mp.pi,
-    "2pi": lambda: 2 * mp.pi,
-}
-MAX_DECIMAL_EXPONENT = 4300  # largest |e| of a decimal literal's exponent
 
 
 @dataclass
@@ -106,28 +94,9 @@ _FIELD_TYPES = {
 }
 
 
-def parse_constant(token: str):
-    """A number token: a named constant, as an mpf at working precision, else the
-    exact Fraction of an integer, p/q rational or decimal literal."""
-    token = token.strip()
-    if token in _CONSTANTS:
-        return _CONSTANTS[token]()
-    # Fraction("1e30000000") would build 10**30000000; the mantissa is held to
-    # Python's 4,300-digit int limit
-    _, e, exponent = token.lower().partition("e")
-    try:
-        if e and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
-            raise ConfigError(f"decimal exponent of {token!r} exceeds {MAX_DECIMAL_EXPONENT} in size")
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(
-            f"bad number {token!r}: need a finite integer, p/q with q > 0, decimal, "
-            f"or one of {', '.join(_CONSTANTS)}"
-        ) from exc
-
-
-def parse_constant_list(text: str) -> list:
-    return [parse_constant(tok) for tok in text.split(",") if tok.strip()]
+def _number_list(text: str, read) -> list:
+    """The numbers of a comma list, each read by parse_constant or parse_float."""
+    return [read(tok) for tok in text.split(",") if tok.strip()]
 
 
 def parse_eps_spec(text: str) -> list[float]:
@@ -138,23 +107,21 @@ def parse_eps_spec(text: str) -> list[float]:
         if len(parts) != 3:
             raise ConfigError("eps range must be start:count:factor")
         try:
-            start, count, factor = float(parts[0]), int(parts[1]), float(parts[2])
+            count = int(parts[1])
         except ValueError as exc:
             raise ConfigError(f"bad eps range {text!r}") from exc
+        start, factor = parse_float(parts[0]), parse_float(parts[2])
         if start <= 0 or count < 1 or factor <= 1:
             raise ConfigError("eps range needs start > 0, count >= 1, factor > 1")
         values = [start * factor**-k for k in range(count)]
     else:
-        try:
-            values = [float(tok) for tok in text.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad eps list {text!r}") from exc
+        values = _number_list(text, parse_float)
         if not values:
             raise ConfigError("empty eps list")
         if any(b >= a for a, b in zip(values, values[1:])):
             raise ConfigError(f"eps list must be strictly decreasing, got {text!r}")
-    if not all(0 < e < math.inf for e in values):
-        raise ConfigError(f"eps values must be finite and positive, got {text!r}")
+    if not all(e > 0 for e in values):
+        raise ConfigError(f"eps values must be positive, got {text!r}")
     return values
 
 
@@ -162,12 +129,7 @@ def parse_window_spec(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
         raise ConfigError("window must be lo:hi")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"bad window {text!r}") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"window endpoints must be finite, got {text!r}")
+    lo, hi = parse_float(parts[0]), parse_float(parts[1])
     if hi <= lo:
         raise ConfigError("window must have positive width")
     return lo, hi
@@ -233,18 +195,15 @@ def _require(config: RunConfig, *names: str) -> None:
             raise ConfigError(f"{config.command} requires --{name.replace('_', '-')}")
 
 
-def _emit(config: RunConfig, payload: dict, columns=None, rows=None) -> None:
-    if config.format == "csv" and columns is not None:
-        text = render_csv(columns, rows, header_comments=_flat_config(config))
+def _emit(config: RunConfig, payload: dict, rows=None) -> None:
+    if config.format == "csv" and rows is not None:
+        flat = {k: v for k, v in asdict(config).items() if v is not None}
+        text = render_csv(tuple(rows[0]), rows, header_comments=flat)
     else:
         payload = dict(payload)
         payload["config"] = asdict(config)
         text = render_json(payload)
     write_text(text, config.out)
-
-
-def _flat_config(config: RunConfig) -> dict:
-    return {k: v for k, v in asdict(config).items() if v is not None}
 
 
 def _check_phases(f, t: float) -> None:
@@ -267,7 +226,7 @@ def _cmd_eval(config: RunConfig) -> int:
         "im": value.imag,
         "abs": abs(value),
     }
-    _emit(config, payload, columns=("t", "re", "im", "abs"), rows=[payload])
+    _emit(config, payload, rows=[payload])
     return 0
 
 
@@ -299,7 +258,7 @@ def _cmd_scan(config: RunConfig) -> int:
     }
     rows = [{"kind": "inner", "lo": a, "hi": b} for a, b in scan.inner]
     rows += [{"kind": "outer", "lo": a, "hi": b} for a, b in scan.outer]
-    _emit(config, payload, columns=("kind", "lo", "hi"), rows=rows)
+    _emit(config, payload, rows=rows)
     return 0
 
 
@@ -335,12 +294,7 @@ def _cmd_length_curve(config: RunConfig) -> int:
             max_ratio=fit.max_ratio,
             eps_range=list(fit.eps_range),
         )
-    _emit(
-        config,
-        payload,
-        columns=("eps", "L_lower", "L_upper", "window", "resolved"),
-        rows=rows,
-    )
+    _emit(config, payload, rows=rows)
     return 0
 
 
@@ -361,30 +315,30 @@ def _cmd_cf(config: RunConfig) -> int:
         "error_bound": float(cf.error_bound),
     }
     rows = [{"k": k, "p": p, "q": q} for k, (p, q) in enumerate(convergents)]
-    _emit(config, payload, columns=("k", "p", "q"), rows=rows)
+    _emit(config, payload, rows=rows)
     return 0
 
 
 def _cmd_badness(config: RunConfig) -> int:
     _require(config, "alpha")
-    report = badness_score(parse_constant_list(config.alpha), config.qmax)
+    report = badness_score(_number_list(config.alpha, parse_constant), config.qmax)
     payload = {
         "n": report.n,
         "Q": report.Q,
         "score": report.score,
         "argmin_q": report.argmin_q,
     }
-    _emit(config, payload, columns=("n", "Q", "score", "argmin_q"), rows=[payload])
+    _emit(config, payload, rows=[payload])
     return 0
 
 
 def _cmd_simdenom(config: RunConfig) -> int:
     _require(config, "alpha", "delta")
     q = best_simultaneous_denominator(
-        parse_constant_list(config.alpha), config.delta, config.qmax
+        _number_list(config.alpha, parse_constant), config.delta, config.qmax
     )
     payload = {"q": q, "delta": config.delta, "qmax": config.qmax}
-    _emit(config, payload, columns=("q", "delta", "qmax"), rows=[payload])
+    _emit(config, payload, rows=[payload])
     return 0
 
 
@@ -393,10 +347,7 @@ def _cmd_kronecker(config: RunConfig) -> int:
     eps = _single_eps(config)
     f = _parse_signal_checked(config.signal)
     lams = [float(l) for l in f.exponents_float]
-    try:
-        kaps = [float(k) for k in parse_constant_list(config.kappa)]
-    except OverflowError as exc:
-        raise ConfigError(f"kappa values must be finite in float64, got {config.kappa!r}") from exc
+    kaps = _number_list(config.kappa, parse_float)
     if len(kaps) != len(lams):
         raise ConfigError(f"need {len(lams)} kappa values for this signal")
     t = kronecker_solve(lams, kaps, eps, config.tmax)
@@ -407,7 +358,7 @@ def _cmd_kronecker(config: RunConfig) -> int:
         "tmax": config.tmax,
     }
     rows = [{"t": t if t is not None else "", "max_residual": max(payload["residuals"]) if t is not None else ""}]
-    _emit(config, payload, columns=("t", "max_residual"), rows=rows)
+    _emit(config, payload, rows=rows)
     return 0
 
 
@@ -426,7 +377,7 @@ def _cmd_dimension(config: RunConfig) -> int:
         payload["lower_dim"] = lower
         payload["upper_dim"] = upper
     payload["c1"], payload["c2"] = equivalence_constants(f)
-    _emit(config, payload, columns=("eps", "cover_upper", "packing_lower"), rows=rows)
+    _emit(config, payload, rows=rows)
     return 0
 
 

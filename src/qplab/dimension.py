@@ -35,6 +35,7 @@ MAX_SEGMENT_POINTS = 2**24
 SAFETY = 4.0
 _SCATTER_CHUNK = 2**14  # grid greedy: flat indices per scatter batch of an n >= 3 line's balls
 _TABLE_CELLS = 64  # grid greedy: unset cells from which a line's chain is cheaper from a table than walked
+_REACH_PROBES = 4096  # _reach: offsets per metric call, so a half-axis of up to this many takes one call
 
 
 def orbit_angles(f: QuasiperiodicSignal, s: float) -> np.ndarray:
@@ -142,11 +143,19 @@ def _offsets_metric(sample: TorusGridSample, offsets: Sequence[Sequence[float]])
 
 
 def _reach(sample: TorusGridSample, axis: int, radius: float) -> int:
-    """Largest offset along the axis, others 0, with metric strictly below radius."""
+    """Largest offset along the axis, others 0, with metric strictly below radius (0 if none is).
+
+    A K-ary search that assumes the computed metric does not decrease along the half-axis
+    0..m//2: one call per level measures up to _REACH_PROBES offsets of [lo, hi), which holds
+    the first offset not below radius, and keeps the gap after the last probe below radius."""
     offsets = [[0]] * len(sample.cells)
-    offsets[axis] = np.arange(sample.cells[axis] // 2 + 1)
-    below = np.flatnonzero(_offsets_metric(sample, offsets) < radius)
-    return int(below[-1]) if below.size else 0
+    lo, hi = 0, sample.cells[axis] // 2 + 1
+    while lo < hi:
+        k = min(hi - lo, _REACH_PROBES)
+        offsets[axis] = probes = lo + np.arange(k) * (hi - lo) // k
+        below = int(np.count_nonzero(_offsets_metric(sample, offsets) < radius))
+        lo, hi = (int(probes[below - 1]) + 1 if below else lo), (int(probes[below]) if below < k else hi)
+    return max(lo - 1, 0)
 
 
 def _cover_advances(sample: TorusGridSample, radius: float) -> list[int]:

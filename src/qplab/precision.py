@@ -11,6 +11,8 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
+from .errors import ConfigError
+
 ENV_PRECISION_BITS = "QPLAB_PRECISION_BITS"
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 80
@@ -56,6 +58,39 @@ def sqrt3() -> mpf:
 
 def two_pi() -> mpf:
     return 2 * mp.pi
+
+
+_CONSTANTS = {"phi": golden_ratio, "sqrt2": sqrt2, "sqrt3": sqrt3, "pi": lambda: mp.pi, "2pi": two_pi}
+MAX_DECIMAL_EXPONENT = 4300  # largest |e| of a decimal literal's exponent
+
+
+def parse_constant(token: str):
+    """A number token: a named constant, as an mpf at working precision, else the
+    exact Fraction of an integer, p/q rational or decimal literal."""
+    token = token.strip()
+    if token in _CONSTANTS:
+        return _CONSTANTS[token]()
+    # Fraction("1e30000000") would build 10**30000000; the mantissa is held to
+    # Python's 4,300-digit int limit
+    _, e, exponent = token.lower().partition("e")
+    try:
+        if e and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
+            raise ConfigError(f"decimal exponent of {token!r} exceeds {MAX_DECIMAL_EXPONENT} in size")
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(
+            f"bad number {token!r}: need a finite integer, p/q with q > 0, decimal, "
+            f"or one of {', '.join(_CONSTANTS)}"
+        ) from exc
+
+
+def parse_float(token: str) -> float:
+    """parse_constant(token) in float64, a zero signed as float(token) signs it; ConfigError on overflow."""
+    try:
+        x = float(parse_constant(token))
+    except OverflowError:
+        raise ConfigError(f"{token.strip()!r} is not finite in float64") from None
+    return -abs(x) if token.strip().startswith("-") else x
 
 
 def as_mpf(x) -> mpf:

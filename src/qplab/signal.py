@@ -9,26 +9,19 @@ rationally independent.
 from __future__ import annotations
 
 import math
-import re
 from typing import Iterable, Sequence
 
 import numpy as np
 from mpmath import mp, mpf
 
-from .errors import BudgetExceeded, SignalParseError, grid_count
-from .precision import as_mpf, golden_ratio, sqrt2, sqrt3, two_pi
+from .errors import BudgetExceeded, ConfigError, SignalParseError, grid_count
+from .precision import as_mpf, golden_ratio, parse_constant, parse_float, sqrt2, sqrt3, two_pi
 
 MAX_ORACLE_POINTS = 2**26
 # search box and tolerance of suspected_rational_relation
 RELATION_MAX_COEFF = 6
 RELATION_REL_TOL = 1e-9
 _CHUNK = 2**21
-
-_TERM_RE = re.compile(
-    r"^\s*([+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
-    r"([+-]\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)i"
-    r"@([+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s*$"
-)
 
 PRESET_NAMES = ("golden", "sqrt23")
 
@@ -101,8 +94,11 @@ def preset(name: str) -> QuasiperiodicSignal:
 def parse_signal(text: str) -> QuasiperiodicSignal:
     """Parse a comma-separated list of ``RE(+|-)IMi@LAMBDA`` terms or a preset name.
 
-    Example: ``1+0i@6.283,2-1i@1.0``. Raises SignalParseError with the
-    character position of the offending term.
+    Each number is a parse_constant token, e.g. ``1+0i@6.283,2-1i@phi`` or
+    ``1+0i@15540375437/25845432348``. A term splits at its one ``@`` and at the
+    sign that starts the imaginary part: the last + or - that neither opens the
+    term nor follows e or E. Raises SignalParseError with the character
+    position of the offending term.
     """
     stripped = text.strip()
     if not stripped:
@@ -112,14 +108,22 @@ def parse_signal(text: str) -> QuasiperiodicSignal:
     terms: list[tuple[complex, mpf]] = []
     offset = 0
     for piece in text.split(","):
-        match = _TERM_RE.match(piece)
-        if match is None:
-            raise SignalParseError(f"malformed term {piece.strip()!r}", offset)
-        re_part, im_part, lam_part = match.groups()
-        amp = complex(float(re_part), float(im_part))
+        try:
+            amp, lam = piece.strip().split("@")
+            cut = max(k for k, c in enumerate(amp) if c in "+-" and k and amp[k - 1] not in "eE")
+            if len(piece.split()) != 1 or not amp.endswith("i"):
+                raise ValueError(piece)
+            parts = amp[:cut], amp[cut:-1]
+            # every token is read here, so a malformed one is named before an amplitude past float64
+            lam = as_mpf([parse_constant(token) for token in (*parts, lam)][-1])
+        except (ValueError, ConfigError):
+            raise SignalParseError(f"malformed term {piece.strip()!r}", offset) from None
+        try:
+            amp = complex(parse_float(parts[0]), parse_float(parts[1]))
+        except ConfigError:  # past float64; the float64 check below names it, after the zero checks
+            amp = complex(math.inf)
         if amp == 0:
             raise SignalParseError("zero amplitude", offset)
-        lam = as_mpf(lam_part)
         if lam == 0:
             raise SignalParseError("zero exponent", offset)
         try:

@@ -14,18 +14,16 @@ from mpmath import mpf
 
 import qplab
 from qplab.cli import (
-    MAX_DECIMAL_EXPONENT,
     RunConfig,
     build_config,
     build_parser,
     main,
-    parse_constant,
     parse_eps_spec,
     parse_window_spec,
     read_config_file,
 )
 from qplab.errors import BudgetExceeded, ConfigError
-from qplab.precision import golden_ratio
+from qplab.precision import MAX_DECIMAL_EXPONENT, golden_ratio, parse_constant
 from qplab.signal import preset
 
 SINGLE = "1+0i@6.283185307179586"

@@ -14,7 +14,8 @@ along some axis, which the line-by-line scatter handles like any other ball),
 and two segment greedies that test every row: one on float angle rows of the
 translates (``reference_points_cover``), one at the lag distances. The grid's
 reach, stencil box and density radius, which qplab measures with
-torus_distance, must also equal the per-axis references here bit for bit.
+torus_distance, must also equal the per-axis references here bit for bit, and
+the reach, a K-ary search of the half-axis, must equal a scan of every offset.
 """
 import math
 from itertools import product
@@ -733,3 +734,74 @@ def test_segment_radius_on_a_lag_distance(golden):
     for k in (5, 9, 14, 23):
         r = float(sample[k])
         assert _points_greedy_cover(sample, r) == reference_lag_cover(sample, r)
+
+
+# ---------------------------------------------------------------------------
+# the K-ary reach search against a scan of every offset
+
+
+def _full_scan_reach(sample, axis, radius):
+    """_reach as a scan of the whole half-axis through _offsets_metric, the reference."""
+    offsets = [[0]] * len(sample.cells)
+    offsets[axis] = np.arange(sample.cells[axis] // 2 + 1)
+    below = np.flatnonzero(dimension._offsets_metric(sample, offsets) < radius)
+    return int(below[-1]) if below.size else 0
+
+
+def _axis_metric(sample, axis, o):
+    offsets = [[0]] * len(sample.cells)
+    offsets[axis] = [o]
+    return dimension._offsets_metric(sample, offsets).item()
+
+
+@pytest.mark.parametrize("probes", [3, 64, 4096])
+@pytest.mark.parametrize("seed", range(10))
+def test_reach_search_matches_full_scan(monkeypatch, probes, seed):
+    # radii at a metric value of the half-axis and one ulp either side of it
+    monkeypatch.setattr(dimension, "_REACH_PROBES", probes)
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        n = int(rng.integers(1, 4))
+        cells = tuple(int(m) for m in rng.integers(1, 3000, size=n))
+        weights = tuple(float(w) for w in rng.uniform(0.3, 1.5, size=n)) if rng.random() < 0.5 else None
+        sample = TorusGridSample(cells=cells, weights=weights)
+        axis = int(rng.integers(n))
+        value = _axis_metric(sample, axis, int(rng.integers(cells[axis] // 2 + 1)))
+        for radius in (math.nextafter(value, -math.inf), value, math.nextafter(value, math.inf)):
+            expected = _full_scan_reach(sample, axis, radius)
+            assert dimension._reach(sample, axis, radius) == expected, (cells, weights, axis, radius)
+
+
+def _reach_calls(monkeypatch, sample, radius):
+    calls = []
+    metric = dimension._offsets_metric
+
+    def counted(sample, offsets):
+        calls.append(max(len(o) for o in offsets))
+        return metric(sample, offsets)
+
+    monkeypatch.setattr(dimension, "_offsets_metric", counted)
+    return dimension._reach(sample, 0, radius), calls
+
+
+@pytest.mark.parametrize("weights", [None, (1.0,)])
+def test_reach_of_a_half_axis_up_to_the_probe_count_takes_one_call(monkeypatch, weights):
+    # 8,191 cells have 4,096 offsets on their half-axis, 8,192 have one more,
+    # which takes a second call once every probe of the first is below radius
+    for m, expected_calls in ((1, 1), (2, 1), (8190, 1), (8191, 1), (8192, 2)):
+        sample = TorusGridSample(cells=(m,), weights=weights)
+        for radius in (_axis_metric(sample, 0, m // 3), math.inf):
+            reach, calls = _reach_calls(monkeypatch, sample, radius)
+            assert len(calls) == (1 if radius < math.inf else expected_calls), (m, radius)
+            assert max(calls) <= dimension._REACH_PROBES
+            assert reach == _full_scan_reach(sample, 0, radius)
+
+
+def test_reach_of_a_long_axis_takes_few_calls(monkeypatch):
+    # the hull grid of 1+0i@1 at eps = 2e-6, whose half-axis has 6,283,186 offsets
+    f = QuasiperiodicSignal([(1, 1)])
+    sample = TorusGridSample.hull_grid(f, 2e-6)
+    assert sample.cells == (12566371,)
+    reach, calls = _reach_calls(monkeypatch, sample, 2e-6)
+    assert len(calls) == 2 and max(calls) <= dimension._REACH_PROBES
+    assert _axis_metric(sample, 0, reach) < 2e-6 <= _axis_metric(sample, 0, reach + 1)
