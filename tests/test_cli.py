@@ -758,7 +758,7 @@ def _readme_commands():
 
 def test_readme_commands_parse():
     commands = _readme_commands()
-    assert len(commands) == 11
+    assert len(commands) == 12
     for line in commands:
         args = build_parser().parse_args(shlex.split(line)[1:])
         assert build_config(args).command == args.command
