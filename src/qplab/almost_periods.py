@@ -14,8 +14,6 @@ cut and is excluded exactly as an evaluation would exclude it.
 """
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -27,6 +25,7 @@ from .signal import QuasiperiodicSignal, lipschitz_constant, translation_distanc
 
 DEFAULT_MAX_GRID_POINTS = 2**29
 _CHUNK = 2**21
+_PERIODS = 2**12
 
 
 @dataclass(frozen=True)
@@ -42,25 +41,26 @@ class IntervalSet:
     def __post_init__(self):
         lo, hi = self.window
         tol = 1e-12 * max(1.0, abs(lo), abs(hi))
-        for seq in (self.inner, self.outer):
-            prev = lo
-            for a, b in seq:
-                if a > b or a < lo - tol or b > hi + tol:
+        inner, outer = (np.array(seq, dtype=np.float64).reshape(-1, 2) for seq in (self.inner, self.outer))
+        for a, b in (inner.T, outer.T):
+            # the first interval that fails either check names the failure
+            bad = (a > b) | (a < lo - tol) | (b > hi + tol)
+            unsorted = a < np.r_[lo, b[:-1]] - tol
+            if (bad | unsorted).any():
+                if bad[np.argmax(bad | unsorted)]:
                     raise ValueError("interval outside window or inverted")
-                if a < prev - tol:
-                    raise ValueError("intervals not sorted/disjoint")
-                prev = b
+                raise ValueError("intervals not sorted/disjoint")
         # an inner (a, b) is contained iff some outer (c, d) has c <= a + tol and
-        # d >= b - tol: bisect the sorted starts, then compare the running
-        # maximum of the ends. The filter drops only outers with a NaN endpoint,
-        # which contain nothing; a NaN inner fails the last comparisons.
-        outer = sorted(iv for iv in self.outer if iv[0] <= iv[1])
-        starts = [c for c, _ in outer]
-        max_end = list(itertools.accumulate((d for _, d in outer), max))
-        for a, b in self.inner:
-            k = bisect.bisect_right(starts, a + tol)
-            if not (k and starts[k - 1] <= a + tol and max_end[k - 1] >= b - tol):
-                raise ValueError("inner interval not contained in any outer interval")
+        # d >= b - tol: search the sorted starts, then compare the running maximum
+        # of the ends. The filter drops only outers with a NaN endpoint, which
+        # contain nothing; a NaN inner fails the last comparisons.
+        outer = outer[outer[:, 0] <= outer[:, 1]]
+        outer = outer[np.lexsort((outer[:, 1], outer[:, 0]))]
+        k = np.searchsorted(outer[:, 0], inner[:, 0] + tol, side="right") - 1
+        if (k < 0).any() or not np.all(
+            (outer[k, 0] <= inner[:, 0] + tol) & (np.maximum.accumulate(outer[:, 1])[k] >= inner[:, 1] - tol)
+        ):
+            raise ValueError("inner interval not contained in any outer interval")
 
 
 @dataclass(frozen=True)
@@ -144,8 +144,10 @@ def sublevel_scan(
     inner_cut = eps - C * h
     outer_cut = eps + C * h
 
-    # reach pads the exact half-width by two grid steps and an allowance for
-    # rounding in tau; the 1e-12 on the cut covers rounding in sin and products
+    # reach pads the exact half-width by two grid steps and an allowance for rounding
+    # in tau: the rounding of a grid point, of k*period and of the phase can add up to
+    # more than 2h for a step just above ulp(tau). The 1e-12 on the cut covers
+    # rounding in sin and products
     filters = []  # (period, reach) of each term that excludes some grid point
     for amp, lam in zip(2.0 * f.amplitude_moduli, np.abs(f.exponents_float)):
         ratio = outer_cut * (1.0 + 1e-12) / amp
@@ -155,11 +157,18 @@ def sublevel_scan(
             if 2.0 * reach < period:
                 filters.append((period, reach))
 
+    # a piece of the grid holds at most _PERIODS zeros of the densest term, about
+    # _CHUNK points near the zeros of each term, and never fewer than _CHUNK points
+    piece = _CHUNK
+    if filters:
+        periods, reaches = np.array(filters).T
+        with np.errstate(over="ignore"):  # a subnormal h sends the ratios past float64
+            points = min(_PERIODS * periods.min() / h, _CHUNK * (periods / (2.0 * reaches)).min())
+        piece = max(_CHUNK, int(min(points, m + 1)))
     inner_runs: list[tuple[int, int]] = []
     outer_runs: list[tuple[int, int]] = []
-    for start in range(0, m + 1, _CHUNK):
-        stop = min(start + _CHUNK, m + 1)
-        idx = _near_zeros(start, stop - 1, lo, h, filters)
+    for start in range(0, m + 1, piece):
+        idx = _near_zeros(start, min(start + piece, m + 1) - 1, lo, h, filters)
         d = translation_distance_many(f, lo + idx.astype(np.float64) * h)
         _extend_runs(inner_runs, idx[d < inner_cut])
         _extend_runs(outer_runs, idx[d < outer_cut])
@@ -199,8 +208,9 @@ def _near_zeros(
     # starts and ends + 1 sorted, the i-th start (from 0) opens a stretch that all
     # k blocks cover iff it precedes the (i-k+1)-th end + 1, which closes it
     k = len(blocks)
-    starts = np.sort(np.concatenate([b[0] for b in blocks]))[k - 1 :]
-    stops = np.sort(np.concatenate([b[1] for b in blocks]))[: starts.size] + 1
+    # k ascending runs each, which a stable sort merges
+    starts = np.sort(np.concatenate([b[0] for b in blocks]), kind="stable")[k - 1 :]
+    stops = np.sort(np.concatenate([b[1] for b in blocks]), kind="stable")[: starts.size] + 1
     keep = starts < stops
     starts = starts[keep]
     lens = stops[keep] - starts
@@ -222,16 +232,16 @@ def _extend_runs(runs: list[tuple[int, int]], idx: np.ndarray) -> None:
 def _runs_to_intervals(
     runs: list[tuple[int, int]], lo: float, hi: float, h: float, halfwidth: float
 ) -> tuple[tuple[float, float], ...]:
-    """Index runs -> clipped merged intervals, endpoints computed from indices."""
-    intervals: list[tuple[float, float]] = []
-    for i0, i1 in runs:
-        a = max(lo, lo + i0 * h - halfwidth)
-        b = min(hi, lo + i1 * h + halfwidth)
-        if intervals and a <= intervals[-1][1] + 1e-12 * max(1.0, abs(hi)):
-            intervals[-1] = (intervals[-1][0], max(intervals[-1][1], b))
-        else:
-            intervals.append((a, b))
-    return tuple(intervals)
+    """Ascending index runs -> clipped merged intervals, endpoints computed from indices."""
+    if not runs:
+        return ()
+    i0, i1 = np.array(runs, dtype=np.int64).T
+    a, b = lo + i0 * h - halfwidth, lo + i1 * h + halfwidth
+    a, b = np.where(a > lo, a, lo), np.where(b < hi, b, hi)
+    # the ends ascend with the runs, so a merged interval ends where its last run ends;
+    # a run starts a new interval unless it begins within the tolerance of the last end
+    new = np.flatnonzero(~(a[1:] <= b[:-1] + 1e-12 * max(1.0, abs(hi)))) + 1
+    return tuple(zip(a[np.r_[0, new]].tolist(), b[np.r_[new - 1, b.size - 1]].tolist()))
 
 
 def _max_gap(intervals: Sequence[tuple[float, float]], window: tuple[float, float]) -> float:
@@ -239,11 +249,9 @@ def _max_gap(intervals: Sequence[tuple[float, float]], window: tuple[float, floa
     lo, hi = window
     if not intervals:
         return hi - lo
-    gaps = [intervals[0][0] - lo]
-    for (_, b), (a, _) in zip(intervals, intervals[1:]):
-        gaps.append(a - b)
-    gaps.append(hi - intervals[-1][1])
-    return max(0.0, max(gaps))
+    ends = np.array(intervals, dtype=np.float64).ravel()
+    # the gaps run from lo and each interval's end to the next start or hi
+    return max(0.0, float(np.fmax.reduce(np.append(ends, hi)[::2] - np.r_[lo, ends[1::2]])))
 
 
 def inclusion_length(s: IntervalSet) -> tuple[float, float]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 from .errors import ConfigError
 
@@ -136,12 +136,13 @@ def to_fixed_point(alpha: Fraction, frac_bits: int) -> int:
 
 
 def fold_angle(x: mpf) -> mpf:
-    """Reduce an angle into [0, 2*pi) at working precision."""
-    tp = two_pi()
-    with mp.extraprec(64):
-        folded = x - tp * mp.floor(x / tp)
-    if folded < 0:
-        folded += tp
-    if folded >= tp:
-        folded -= tp
-    return folded
+    """Reduce an angle into [0, 2*pi): x - 2pi*floor(x/2pi) at 64 extra bits, then one
+    correction at working precision, through the libmp calls the mpf operators make."""
+    tp, prec = two_pi()._mpf_, mp.prec
+    turns = libmp.mpf_floor(libmp.mpf_div(x._mpf_, tp, prec + 64, "n"), prec + 64, "n")
+    folded = libmp.mpf_sub(x._mpf_, libmp.mpf_mul(tp, turns, prec + 64, "n"), prec + 64, "n")
+    if libmp.mpf_lt(folded, libmp.fzero):
+        folded = libmp.mpf_add(folded, tp, prec, "n")
+    if libmp.mpf_ge(folded, tp):
+        folded = libmp.mpf_sub(folded, tp, prec, "n")
+    return mp.make_mpf(folded)

@@ -1,16 +1,21 @@
 """Differential gate: sublevel_scan against a dense reference scan.
 
-sublevel_scan evaluates D only where every term is near one of its zeros.
-The reference below evaluates D at every grid point of the window, in chunks, and
-builds the runs with a chunk-stitching run collector. Both must return equal
-IntervalSets, bit for bit.
+sublevel_scan evaluates D only where every term is near one of its zeros, in
+pieces of the grid sized by its zero blocks. The reference below evaluates D at
+every grid point of the window, in chunks, builds the runs with a chunk-stitching
+run collector and turns them into intervals with a loop. Both must return equal
+IntervalSets, bit for bit. IntervalSet's numpy validation is checked against the
+loop it replaced, which is kept here.
 """
+import bisect
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from qplab.almost_periods import IntervalSet, _runs_to_intervals, sublevel_scan
+import qplab.almost_periods as ap
+from qplab.almost_periods import IntervalSet, sublevel_scan
 from qplab.signal import QuasiperiodicSignal, lipschitz_constant, preset, translation_distance_many
 from qplab.verify import GOLDEN_EPS_LADDER, SQRT23_EPS_LADDER
 
@@ -37,6 +42,19 @@ def _collect_runs(mask, offset, open_start, runs):
     return start if state else -1
 
 
+def runs_to_intervals(runs, lo, hi, h, halfwidth):
+    """Index runs -> clipped merged intervals, one run at a time."""
+    intervals = []
+    for i0, i1 in runs:
+        a = max(lo, lo + i0 * h - halfwidth)
+        b = min(hi, lo + i1 * h + halfwidth)
+        if intervals and a <= intervals[-1][1] + 1e-12 * max(1.0, abs(hi)):
+            intervals[-1] = (intervals[-1][0], max(intervals[-1][1], b))
+        else:
+            intervals.append((a, b))
+    return tuple(intervals)
+
+
 def dense_sublevel_scan(f, eps, window, step):
     """Reference scan: D at every grid point, same grid and cuts as sublevel_scan."""
     lo, hi = window
@@ -61,8 +79,8 @@ def dense_sublevel_scan(f, eps, window, step):
     if open_outer >= 0:
         outer_runs.append((open_outer, m))
 
-    inner = _runs_to_intervals(inner_runs, lo, hi, h, halfwidth=h)
-    outer = _runs_to_intervals(outer_runs, lo, hi, h, halfwidth=0.5 * h)
+    inner = runs_to_intervals(inner_runs, lo, hi, h, halfwidth=h)
+    outer = runs_to_intervals(outer_runs, lo, hi, h, halfwidth=0.5 * h)
     return IntervalSet(window=(lo, hi), inner=inner, outer=outer, step=h, eps=eps)
 
 
@@ -118,8 +136,6 @@ def test_runs_split_across_gathers_match_dense(monkeypatch):
     # far from 0 on a window ending near 0, tau rounds by more than the
     # interval-merge tolerance (scaled by |hi|), so a run cut at a gather
     # boundary must be rejoined as indices, not as intervals
-    import qplab.almost_periods as ap
-
     monkeypatch.setattr(ap, "_CHUNK", 97)
     f = QuasiperiodicSignal([(1.0, 0.05), (0.3, 0.05 * 2.0**0.5)])
     assert_matches_dense(f, 0.1, (-99999.7, 0.3))
@@ -154,8 +170,6 @@ def every_term_signal(seed):
 
 def filter_periods(monkeypatch):
     """Record the period of every term family whose zero blocks the scan builds."""
-    import qplab.almost_periods as ap
-
     periods = set()
     blocks = ap._zero_blocks
 
@@ -178,9 +192,8 @@ def test_every_term_filtering_matches_dense(seed, monkeypatch):
 
 
 def test_every_term_families_across_small_chunks_match_dense(monkeypatch):
-    # several term families, each cut into blocks at every 97-point chunk boundary
-    import qplab.almost_periods as ap
-
+    # several term families, each cut into blocks at every boundary of pieces
+    # holding about 97 points near each term's zeros
     monkeypatch.setattr(ap, "_CHUNK", 97)
     periods = filter_periods(monkeypatch)
     f = QuasiperiodicSignal([(1.0, 1.0), (0.8j, -(2.0**0.5)), (0.6, 3.0**0.5), (0.5 - 0.2j, 0.3)])
@@ -217,3 +230,159 @@ def test_member_at_a_block_edge_far_from_zero_matches_dense(lam, k, side, eps):
     outer_cut = eps + lam * h
     assert d.min() < outer_cut <= d.max()
     assert outer_cut - d[d < outer_cut].max() < 1e-6
+
+
+
+@pytest.mark.parametrize(
+    "lam,eps,window,step",
+    [
+        (2.6920042003279314, 1.3217079070587636, (-119535131.82196276, -119535131.8219624), 1.6446695756869947e-08),
+        (2.9608301073252585, 1.2437962526099664, (504205.6678851646, 504205.667885166), 6.389146021536871e-11),
+        (1.5665379275070104, 1.4158617700720053, (65549652.87713783, 65549652.87713801), 8.259442285825352e-09),
+        (3.066383413646589, 0.13732750920207862, (123713.7312488883, 123713.73124888865), 1.635528228194622e-11),
+        (5.779559350061315, 1.564390812076847, (-63079.38639616525, -63079.38639616508), 8.053211708134357e-12),
+    ],
+)
+def test_member_past_the_two_step_pad_matches_dense(lam, eps, window, step):
+    # a step a little above ulp(tau): the rounding of tau, of k*period and of the
+    # phase then adds up to more than the 2h pad, and a member lies past the zero
+    # block padded by 2h alone; the reach's allowance for rounding in tau covers it
+    f = QuasiperiodicSignal([(1.0, lam)])
+    scan = sublevel_scan(f, eps, window, step)
+    assert scan == dense_sublevel_scan(f, eps, window, step)
+    lo, hi = window
+    h = scan.step
+    idx = np.arange(round((hi - lo) / h) + 1)
+    members = idx[translation_distance_many(f, lo + idx * h) < eps + lam * h]
+    period = 2.0 * math.pi / lam
+    z = round(0.5 * (lo + hi) / period) * period
+    reach = (2.0 / lam) * math.asin((eps + lam * h) * (1.0 + 1e-12) / 2.0) + 2.0 * h
+    assert members.min() < math.ceil((z - reach - lo) / h) or members.max() > math.floor((z + reach - lo) / h)
+
+def interval_set_error(window, inner, outer):
+    """IntervalSet's validation as a loop over intervals: its ValueError message, or None."""
+    lo, hi = window
+    tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+    for seq in (inner, outer):
+        prev = lo
+        for a, b in seq:
+            if a > b or a < lo - tol or b > hi + tol:
+                return "interval outside window or inverted"
+            if a < prev - tol:
+                return "intervals not sorted/disjoint"
+            prev = b
+    outer = sorted(iv for iv in outer if iv[0] <= iv[1])
+    starts = [c for c, _ in outer]
+    max_end = list(itertools.accumulate((d for _, d in outer), max))
+    for a, b in inner:
+        k = bisect.bisect_right(starts, a + tol)
+        if not (k and starts[k - 1] <= a + tol and max_end[k - 1] >= b - tol):
+            return "inner interval not contained in any outer interval"
+    return None
+
+
+def draw_interval_set(rng):
+    """A window with sorted disjoint outers and inners inside them, then one or two
+    random defects: NaN endpoints, inverted, unsorted or overlapping intervals,
+    intervals past the window or within its tolerance, uncontained inners, empty tuples."""
+    lo = float(rng.choice([0.0, rng.uniform(-100.0, 100.0), rng.choice([-1.0, 1.0]) * 1e6]))
+    hi = lo + float(rng.uniform(1.0, 50.0))
+    tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+    cuts = np.sort(rng.uniform(lo, hi, 2 * int(rng.integers(0, 6))))
+    outer = [list(map(float, p)) for p in cuts.reshape(-1, 2)]
+    inner = [[a + (b - a) * 0.25, b - (b - a) * 0.25] for a, b in outer if rng.random() < 0.7]
+    for _ in range(int(rng.integers(0, 3))):
+        seq = inner if rng.random() < 0.5 else outer
+        kind = int(rng.integers(0, 9))
+        if kind == 8:
+            seq.clear()
+        if not seq:
+            continue
+        iv = seq[int(rng.integers(0, len(seq)))]
+        if kind == 0:
+            iv[int(rng.integers(0, 2))] = math.nan
+        elif kind == 1:
+            iv.reverse()
+        elif kind == 2:
+            seq.reverse()
+        elif kind == 3:
+            iv[0] = lo - tol * float(rng.choice([0.5, 1.0, 3.0]))
+        elif kind == 4:
+            iv[1] = hi + tol * float(rng.choice([0.5, 1.0, 3.0]))
+        elif kind == 5:
+            iv[0] -= float(rng.uniform(0.0, 5.0))
+        elif kind == 6:
+            iv[1] += float(rng.uniform(0.0, 5.0))
+        else:
+            seq.append([iv[1], iv[1] + float(rng.uniform(0.0, 1.0))])
+    return (lo, hi), tuple(map(tuple, inner)), tuple(map(tuple, outer))
+
+
+def test_interval_set_validation_matches_loop():
+    seen = set()
+    for seed in range(4000):
+        window, inner, outer = draw_interval_set(np.random.default_rng(seed))
+        try:
+            IntervalSet(window=window, inner=inner, outer=outer, step=0.1, eps=0.1)
+            error = None
+        except ValueError as exc:
+            error = str(exc)
+        assert error == interval_set_error(window, inner, outer), (window, inner, outer)
+        seen.add(error)
+    assert len(seen) == 4
+
+
+def record_pieces(monkeypatch):
+    """Record (first, last) of every piece the scan hands to _near_zeros."""
+    pieces = []
+    near_zeros = ap._near_zeros
+
+    def recording(first, last, lo, h, filters):
+        pieces.append((first, last))
+        return near_zeros(first, last, lo, h, filters)
+
+    monkeypatch.setattr(ap, "_near_zeros", recording)
+    return pieces
+
+
+@pytest.mark.parametrize("periods", [1, 2, 3])
+@pytest.mark.parametrize("k0", [0, -16_000, 15_000])
+def test_runs_across_pieces_of_few_periods_match_dense(periods, k0, monkeypatch):
+    # pieces of `periods` periods, each over 2**21 points, start at a zero 2*pi*k0, so
+    # every piece boundary falls on a zero and the run of members around it
+    monkeypatch.setattr(ap, "_PERIODS", periods)
+    pieces = record_pieces(monkeypatch)
+    f = QuasiperiodicSignal([(1.0, 1.0)])
+    lo = 2.0 * math.pi * k0
+    eps = 1.1e-5
+    scan = assert_matches_dense(f, eps, (lo, lo + 2.0 * math.pi * (2 * periods + 0.5)))
+    assert len(pieces) == 3 and pieces[0][1] - pieces[0][0] + 1 > ap._CHUNK
+    h = scan.step
+    for first, _ in pieces[1:]:
+        assert any(a <= lo + (first - 1) * h and b >= lo + first * h for a, b in scan.outer)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_blocks_across_small_pieces_match_dense(seed, monkeypatch):
+    # pieces of 1-3 periods of the densest term and at least 97 points; a window
+    # from 0, a common zero, puts the first boundary on that term's zero block
+    monkeypatch.setattr(ap, "_CHUNK", 97)
+    monkeypatch.setattr(ap, "_PERIODS", 1 + seed % 3)
+    pieces = record_pieces(monkeypatch)
+    blocks = []
+    zero_blocks = ap._zero_blocks
+
+    def recording(first, last, lo, h, period, reach):
+        s, e = zero_blocks(first, last, lo, h, period, reach)
+        blocks.append((first, last, period, s.tolist(), e.tolist()))
+        return s, e
+
+    monkeypatch.setattr(ap, "_zero_blocks", recording)
+    f, eps, rng = every_term_signal(seed)
+    lo = [0.0, float(rng.uniform(-100.0, 50.0)), float(rng.choice([-1.0, 1.0]) * rng.uniform(1e5, 2e5))][seed % 3]
+    assert_matches_dense(f, eps, (lo, lo + float(rng.uniform(20.0, 150.0))))
+    assert len(pieces) > 1
+    if lo == 0.0:
+        # some term's block ends one piece and opens the next
+        ends = {(p, e[-1]) for first, last, p, s, e in blocks if e and e[-1] == last}
+        assert any((p, first - 1) in ends for first, _, p, s, _ in blocks if s and s[0] == first)
