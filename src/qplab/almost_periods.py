@@ -41,25 +41,26 @@ class IntervalSet:
     def __post_init__(self):
         lo, hi = self.window
         tol = 1e-12 * max(1.0, abs(lo), abs(hi))
-        inner, outer = (np.array(seq, dtype=np.float64).reshape(-1, 2) for seq in (self.inner, self.outer))
-        for a, b in (inner.T, outer.T):
-            # the first interval that fails either check names the failure
-            bad = (a > b) | (a < lo - tol) | (b > hi + tol)
-            unsorted = a < np.r_[lo, b[:-1]] - tol
-            if (bad | unsorted).any():
-                if bad[np.argmax(bad | unsorted)]:
-                    raise ValueError("interval outside window or inverted")
-                raise ValueError("intervals not sorted/disjoint")
+        # inner then outer, each chained from lo; the first failing interval names the failure
+        n = len(self.inner)
+        a, b = np.array((*self.inner, *self.outer), dtype=np.float64).reshape(-1, 2).T
+        prev = np.empty_like(b)
+        prev[1:], prev[:1], prev[n : n + 1] = b[:-1], lo, lo
+        bad = (a > b) | (a < lo - tol) | (b > hi + tol)
+        fails = bad | (a < prev - tol)
+        if fails.any():
+            if bad[fails.argmax()]:
+                raise ValueError("interval outside window or inverted")
+            raise ValueError("intervals not sorted/disjoint")
         # an inner (a, b) is contained iff some outer (c, d) has c <= a + tol and
         # d >= b - tol: search the sorted starts, then compare the running maximum
         # of the ends. The filter drops only outers with a NaN endpoint, which
         # contain nothing; a NaN inner fails the last comparisons.
-        outer = outer[outer[:, 0] <= outer[:, 1]]
-        outer = outer[np.lexsort((outer[:, 1], outer[:, 0]))]
-        k = np.searchsorted(outer[:, 0], inner[:, 0] + tol, side="right") - 1
-        if (k < 0).any() or not np.all(
-            (outer[k, 0] <= inner[:, 0] + tol) & (np.maximum.accumulate(outer[:, 1])[k] >= inner[:, 1] - tol)
-        ):
+        keep = a[n:] <= b[n:]
+        order = np.argsort(a[n:][keep], kind="stable")
+        c, d = a[n:][keep][order], b[n:][keep][order]
+        k = np.searchsorted(c, a[:n] + tol, side="right") - 1
+        if n and ((k < 0).any() or not np.all((c[k] <= a[:n] + tol) & (np.maximum.accumulate(d)[k] >= b[:n] - tol))):
             raise ValueError("inner interval not contained in any outer interval")
 
 
@@ -238,10 +239,11 @@ def _runs_to_intervals(
     i0, i1 = np.array(runs, dtype=np.int64).T
     a, b = lo + i0 * h - halfwidth, lo + i1 * h + halfwidth
     a, b = np.where(a > lo, a, lo), np.where(b < hi, b, hi)
-    # the ends ascend with the runs, so a merged interval ends where its last run ends;
-    # a run starts a new interval unless it begins within the tolerance of the last end
-    new = np.flatnonzero(~(a[1:] <= b[:-1] + 1e-12 * max(1.0, abs(hi)))) + 1
-    return tuple(zip(a[np.r_[0, new]].tolist(), b[np.r_[new - 1, b.size - 1]].tolist()))
+    # the ends ascend with the runs, so an interval ends where its last run ends; a run
+    # opens one unless it starts within the tolerance of the last end (as does one past the last)
+    opens = np.ones(a.size + 1, dtype=bool)
+    opens[1:-1] = a[1:] > b[:-1] + 1e-12 * max(1.0, abs(hi))
+    return tuple(zip(a[opens[:-1]].tolist(), b[opens[1:]].tolist()))
 
 
 def _max_gap(intervals: Sequence[tuple[float, float]], window: tuple[float, float]) -> float:
@@ -249,9 +251,8 @@ def _max_gap(intervals: Sequence[tuple[float, float]], window: tuple[float, floa
     lo, hi = window
     if not intervals:
         return hi - lo
-    ends = np.array(intervals, dtype=np.float64).ravel()
-    # the gaps run from lo and each interval's end to the next start or hi
-    return max(0.0, float(np.fmax.reduce(np.append(ends, hi)[::2] - np.r_[lo, ends[1::2]])))
+    ends = np.array(intervals, dtype=np.float64)
+    return max(0.0, max([intervals[0][0] - lo, *(ends[1:, 0] - ends[:-1, 1]).tolist(), hi - intervals[-1][1]]))
 
 
 def inclusion_length(s: IntervalSet) -> tuple[float, float]:

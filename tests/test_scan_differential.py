@@ -4,8 +4,8 @@ sublevel_scan evaluates D only where every term is near one of its zeros, in
 pieces of the grid sized by its zero blocks. The reference below evaluates D at
 every grid point of the window, in chunks, builds the runs with a chunk-stitching
 run collector and turns them into intervals with a loop. Both must return equal
-IntervalSets, bit for bit. IntervalSet's numpy validation is checked against the
-loop it replaced, which is kept here.
+IntervalSets, bit for bit. IntervalSet's numpy validation and the numpy largest
+gap are checked against the loops they replaced, which are kept here.
 """
 import bisect
 import itertools
@@ -281,6 +281,18 @@ def interval_set_error(window, inner, outer):
     return None
 
 
+def max_gap(intervals, window):
+    """Largest uncovered stretch of the window, one gap at a time."""
+    lo, hi = window
+    if not intervals:
+        return hi - lo
+    gaps = [intervals[0][0] - lo]
+    for (_, b), (a, _) in zip(intervals, intervals[1:]):
+        gaps.append(a - b)
+    gaps.append(hi - intervals[-1][1])
+    return max(0.0, max(gaps))
+
+
 def draw_interval_set(rng):
     """A window with sorted disjoint outers and inners inside them, then one or two
     random defects: NaN endpoints, inverted, unsorted or overlapping intervals,
@@ -318,7 +330,7 @@ def draw_interval_set(rng):
     return (lo, hi), tuple(map(tuple, inner)), tuple(map(tuple, outer))
 
 
-def test_interval_set_validation_matches_loop():
+def test_interval_set_validation_and_gaps_match_loops():
     seen = set()
     for seed in range(4000):
         window, inner, outer = draw_interval_set(np.random.default_rng(seed))
@@ -329,6 +341,8 @@ def test_interval_set_validation_matches_loop():
             error = str(exc)
         assert error == interval_set_error(window, inner, outer), (window, inner, outer)
         seen.add(error)
+        for seq in (inner, outer):
+            assert ap._max_gap(seq, window) == max_gap(seq, window)
     assert len(seen) == 4
 
 
