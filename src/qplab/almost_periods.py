@@ -14,6 +14,8 @@ cut and is excluded exactly as an evaluation would exclude it.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -41,27 +43,25 @@ class IntervalSet:
     def __post_init__(self):
         lo, hi = self.window
         tol = 1e-12 * max(1.0, abs(lo), abs(hi))
-        # inner then outer, each chained from lo; the first failing interval names the failure
-        n = len(self.inner)
-        a, b = np.array((*self.inner, *self.outer), dtype=np.float64).reshape(-1, 2).T
-        prev = np.empty_like(b)
-        prev[1:], prev[:1], prev[n : n + 1] = b[:-1], lo, lo
-        bad = (a > b) | (a < lo - tol) | (b > hi + tol)
-        fails = bad | (a < prev - tol)
-        if fails.any():
-            if bad[fails.argmax()]:
-                raise ValueError("interval outside window or inverted")
-            raise ValueError("intervals not sorted/disjoint")
+        for seq in (self.inner, self.outer):
+            prev = lo
+            for a, b in seq:
+                if a > b or a < lo - tol or b > hi + tol:
+                    raise ValueError("interval outside window or inverted")
+                if a < prev - tol:
+                    raise ValueError("intervals not sorted/disjoint")
+                prev = b
         # an inner (a, b) is contained iff some outer (c, d) has c <= a + tol and
-        # d >= b - tol: search the sorted starts, then compare the running maximum
-        # of the ends. The filter drops only outers with a NaN endpoint, which
-        # contain nothing; a NaN inner fails the last comparisons.
-        keep = a[n:] <= b[n:]
-        order = np.argsort(a[n:][keep], kind="stable")
-        c, d = a[n:][keep][order], b[n:][keep][order]
-        k = np.searchsorted(c, a[:n] + tol, side="right") - 1
-        if n and ((k < 0).any() or not np.all((c[k] <= a[:n] + tol) & (np.maximum.accumulate(d)[k] >= b[:n] - tol))):
-            raise ValueError("inner interval not contained in any outer interval")
+        # d >= b - tol: bisect the sorted starts, then compare the running
+        # maximum of the ends. The filter drops only outers with a NaN endpoint,
+        # which contain nothing; a NaN inner fails the last comparisons.
+        outer = sorted(iv for iv in self.outer if iv[0] <= iv[1])
+        starts = [c for c, _ in outer]
+        max_end = list(itertools.accumulate((d for _, d in outer), max))
+        for a, b in self.inner:
+            k = bisect.bisect_right(starts, a + tol)
+            if not (k and starts[k - 1] <= a + tol and max_end[k - 1] >= b - tol):
+                raise ValueError("inner interval not contained in any outer interval")
 
 
 @dataclass(frozen=True)
@@ -145,10 +145,9 @@ def sublevel_scan(
     inner_cut = eps - C * h
     outer_cut = eps + C * h
 
-    # reach pads the exact half-width by two grid steps and an allowance for rounding
-    # in tau: the rounding of a grid point, of k*period and of the phase can add up to
-    # more than 2h for a step just above ulp(tau). The 1e-12 on the cut covers
-    # rounding in sin and products
+    # reach pads the exact half-width by two grid steps and an allowance for rounding in
+    # tau, which can exceed 2h at a step just above ulp(tau) (a grid point, k*period and
+    # the phase each round); the 1e-12 on the cut covers rounding in sin and products
     filters = []  # (period, reach) of each term that excludes some grid point
     for amp, lam in zip(2.0 * f.amplitude_moduli, np.abs(f.exponents_float)):
         ratio = outer_cut * (1.0 + 1e-12) / amp
@@ -158,14 +157,12 @@ def sublevel_scan(
             if 2.0 * reach < period:
                 filters.append((period, reach))
 
-    # a piece of the grid holds at most _PERIODS zeros of the densest term, about
-    # _CHUNK points near the zeros of each term, and never fewer than _CHUNK points
-    piece = _CHUNK
-    if filters:
-        periods, reaches = np.array(filters).T
-        with np.errstate(over="ignore"):  # a subnormal h sends the ratios past float64
-            points = min(_PERIODS * periods.min() / h, _CHUNK * (periods / (2.0 * reaches)).min())
-        piece = max(_CHUNK, int(min(points, m + 1)))
+    # a piece holds at most _PERIODS zeros of the densest term, never fewer than _CHUNK
+    # points, and about _CHUNK points near the zeros of each term whose blocks fit in
+    # _CHUNK points (a longer block could fill a piece), so at most about 3*_CHUNK in all
+    fits = [period / (2.0 * reach) for period, reach in filters if 2.0 * reach <= _CHUNK * h]
+    points = min(_PERIODS * min(p for p, _ in filters) / h, _CHUNK * min(fits)) if fits else _CHUNK
+    piece = max(_CHUNK, int(min(points, m + 1)))
     inner_runs: list[tuple[int, int]] = []
     outer_runs: list[tuple[int, int]] = []
     for start in range(0, m + 1, piece):
@@ -207,9 +204,9 @@ def _near_zeros(
     blocks = [_zero_blocks(first, last, lo, h, period, reach) for period, reach in filters]
     # an index lies in at most one block of each term, so in at most k blocks. With
     # starts and ends + 1 sorted, the i-th start (from 0) opens a stretch that all
-    # k blocks cover iff it precedes the (i-k+1)-th end + 1, which closes it
+    # k blocks cover iff it precedes the (i-k+1)-th end + 1, which closes it; the
+    # concatenated starts (and ends) are k ascending runs, which a stable sort merges
     k = len(blocks)
-    # k ascending runs each, which a stable sort merges
     starts = np.sort(np.concatenate([b[0] for b in blocks]), kind="stable")[k - 1 :]
     stops = np.sort(np.concatenate([b[1] for b in blocks]), kind="stable")[: starts.size] + 1
     keep = starts < stops
@@ -233,17 +230,16 @@ def _extend_runs(runs: list[tuple[int, int]], idx: np.ndarray) -> None:
 def _runs_to_intervals(
     runs: list[tuple[int, int]], lo: float, hi: float, h: float, halfwidth: float
 ) -> tuple[tuple[float, float], ...]:
-    """Ascending index runs -> clipped merged intervals, endpoints computed from indices."""
-    if not runs:
-        return ()
-    i0, i1 = np.array(runs, dtype=np.int64).T
-    a, b = lo + i0 * h - halfwidth, lo + i1 * h + halfwidth
-    a, b = np.where(a > lo, a, lo), np.where(b < hi, b, hi)
-    # the ends ascend with the runs, so an interval ends where its last run ends; a run
-    # opens one unless it starts within the tolerance of the last end (as does one past the last)
-    opens = np.ones(a.size + 1, dtype=bool)
-    opens[1:-1] = a[1:] > b[:-1] + 1e-12 * max(1.0, abs(hi))
-    return tuple(zip(a[opens[:-1]].tolist(), b[opens[1:]].tolist()))
+    """Index runs -> clipped merged intervals, endpoints computed from indices."""
+    intervals: list[tuple[float, float]] = []
+    for i0, i1 in runs:
+        a = max(lo, lo + i0 * h - halfwidth)
+        b = min(hi, lo + i1 * h + halfwidth)
+        if intervals and a <= intervals[-1][1] + 1e-12 * max(1.0, abs(hi)):
+            intervals[-1] = (intervals[-1][0], max(intervals[-1][1], b))
+        else:
+            intervals.append((a, b))
+    return tuple(intervals)
 
 
 def _max_gap(intervals: Sequence[tuple[float, float]], window: tuple[float, float]) -> float:
@@ -251,8 +247,11 @@ def _max_gap(intervals: Sequence[tuple[float, float]], window: tuple[float, floa
     lo, hi = window
     if not intervals:
         return hi - lo
-    ends = np.array(intervals, dtype=np.float64)
-    return max(0.0, max([intervals[0][0] - lo, *(ends[1:, 0] - ends[:-1, 1]).tolist(), hi - intervals[-1][1]]))
+    gaps = [intervals[0][0] - lo]
+    for (_, b), (a, _) in zip(intervals, intervals[1:]):
+        gaps.append(a - b)
+    gaps.append(hi - intervals[-1][1])
+    return max(0.0, max(gaps))
 
 
 def inclusion_length(s: IntervalSet) -> tuple[float, float]:

@@ -3,12 +3,9 @@
 sublevel_scan evaluates D only where every term is near one of its zeros, in
 pieces of the grid sized by its zero blocks. The reference below evaluates D at
 every grid point of the window, in chunks, builds the runs with a chunk-stitching
-run collector and turns them into intervals with a loop. Both must return equal
-IntervalSets, bit for bit. IntervalSet's numpy validation and the numpy largest
-gap are checked against the loops they replaced, which are kept here.
+run collector and turns them into intervals with its own loop. Both must return
+equal IntervalSets, bit for bit.
 """
-import bisect
-import itertools
 import math
 
 import numpy as np
@@ -232,7 +229,6 @@ def test_member_at_a_block_edge_far_from_zero_matches_dense(lam, k, side, eps):
     assert outer_cut - d[d < outer_cut].max() < 1e-6
 
 
-
 @pytest.mark.parametrize(
     "lam,eps,window,step",
     [
@@ -258,92 +254,6 @@ def test_member_past_the_two_step_pad_matches_dense(lam, eps, window, step):
     z = round(0.5 * (lo + hi) / period) * period
     reach = (2.0 / lam) * math.asin((eps + lam * h) * (1.0 + 1e-12) / 2.0) + 2.0 * h
     assert members.min() < math.ceil((z - reach - lo) / h) or members.max() > math.floor((z + reach - lo) / h)
-
-def interval_set_error(window, inner, outer):
-    """IntervalSet's validation as a loop over intervals: its ValueError message, or None."""
-    lo, hi = window
-    tol = 1e-12 * max(1.0, abs(lo), abs(hi))
-    for seq in (inner, outer):
-        prev = lo
-        for a, b in seq:
-            if a > b or a < lo - tol or b > hi + tol:
-                return "interval outside window or inverted"
-            if a < prev - tol:
-                return "intervals not sorted/disjoint"
-            prev = b
-    outer = sorted(iv for iv in outer if iv[0] <= iv[1])
-    starts = [c for c, _ in outer]
-    max_end = list(itertools.accumulate((d for _, d in outer), max))
-    for a, b in inner:
-        k = bisect.bisect_right(starts, a + tol)
-        if not (k and starts[k - 1] <= a + tol and max_end[k - 1] >= b - tol):
-            return "inner interval not contained in any outer interval"
-    return None
-
-
-def max_gap(intervals, window):
-    """Largest uncovered stretch of the window, one gap at a time."""
-    lo, hi = window
-    if not intervals:
-        return hi - lo
-    gaps = [intervals[0][0] - lo]
-    for (_, b), (a, _) in zip(intervals, intervals[1:]):
-        gaps.append(a - b)
-    gaps.append(hi - intervals[-1][1])
-    return max(0.0, max(gaps))
-
-
-def draw_interval_set(rng):
-    """A window with sorted disjoint outers and inners inside them, then one or two
-    random defects: NaN endpoints, inverted, unsorted or overlapping intervals,
-    intervals past the window or within its tolerance, uncontained inners, empty tuples."""
-    lo = float(rng.choice([0.0, rng.uniform(-100.0, 100.0), rng.choice([-1.0, 1.0]) * 1e6]))
-    hi = lo + float(rng.uniform(1.0, 50.0))
-    tol = 1e-12 * max(1.0, abs(lo), abs(hi))
-    cuts = np.sort(rng.uniform(lo, hi, 2 * int(rng.integers(0, 6))))
-    outer = [list(map(float, p)) for p in cuts.reshape(-1, 2)]
-    inner = [[a + (b - a) * 0.25, b - (b - a) * 0.25] for a, b in outer if rng.random() < 0.7]
-    for _ in range(int(rng.integers(0, 3))):
-        seq = inner if rng.random() < 0.5 else outer
-        kind = int(rng.integers(0, 9))
-        if kind == 8:
-            seq.clear()
-        if not seq:
-            continue
-        iv = seq[int(rng.integers(0, len(seq)))]
-        if kind == 0:
-            iv[int(rng.integers(0, 2))] = math.nan
-        elif kind == 1:
-            iv.reverse()
-        elif kind == 2:
-            seq.reverse()
-        elif kind == 3:
-            iv[0] = lo - tol * float(rng.choice([0.5, 1.0, 3.0]))
-        elif kind == 4:
-            iv[1] = hi + tol * float(rng.choice([0.5, 1.0, 3.0]))
-        elif kind == 5:
-            iv[0] -= float(rng.uniform(0.0, 5.0))
-        elif kind == 6:
-            iv[1] += float(rng.uniform(0.0, 5.0))
-        else:
-            seq.append([iv[1], iv[1] + float(rng.uniform(0.0, 1.0))])
-    return (lo, hi), tuple(map(tuple, inner)), tuple(map(tuple, outer))
-
-
-def test_interval_set_validation_and_gaps_match_loops():
-    seen = set()
-    for seed in range(4000):
-        window, inner, outer = draw_interval_set(np.random.default_rng(seed))
-        try:
-            IntervalSet(window=window, inner=inner, outer=outer, step=0.1, eps=0.1)
-            error = None
-        except ValueError as exc:
-            error = str(exc)
-        assert error == interval_set_error(window, inner, outer), (window, inner, outer)
-        seen.add(error)
-        for seq in (inner, outer):
-            assert ap._max_gap(seq, window) == max_gap(seq, window)
-    assert len(seen) == 4
 
 
 def record_pieces(monkeypatch):
@@ -400,3 +310,32 @@ def test_blocks_across_small_pieces_match_dense(seed, monkeypatch):
         # some term's block ends one piece and opens the next
         ends = {(p, e[-1]) for first, last, p, s, e in blocks if e and e[-1] == last}
         assert any((p, first - 1) in ends for first, _, p, s, _ in blocks if s and s[0] == first)
+
+
+@pytest.mark.parametrize(
+    "terms,eps,window,step",
+    [
+        ([(1.0, 1.0)], 0.02, (-0.019, 0.019), 1e-5),
+        ([(1.0, 1.0)], 0.02, (-0.05, 3.0), 1e-5),
+        ([(1.0, 1.0)], 0.02, (6.2, 6.4), 1e-5),
+        ([(1.0, 1.0), (1.0, 10.0)], 0.5, (-1.0, 7.0), 0.0012),
+    ],
+)
+def test_blocks_longer_than_a_chunk_keep_pieces_small(terms, eps, window, step, monkeypatch):
+    # a step far below eps/(4C) makes the first term's zero block span more than
+    # _CHUNK points, so a piece shorter than its period could lie inside one block;
+    # such a term may not enlarge the pieces (the second term's blocks fit in 97)
+    monkeypatch.setattr(ap, "_CHUNK", 97)
+    sizes = []
+    near_zeros = ap._near_zeros
+
+    def recording(first, last, lo, h, filters):
+        idx = near_zeros(first, last, lo, h, filters)
+        sizes.append(idx.size)
+        return idx
+
+    monkeypatch.setattr(ap, "_near_zeros", recording)
+    f = QuasiperiodicSignal(terms)
+    assert 2.0 * math.asin(eps / 2.0) > ap._CHUNK * step
+    assert sublevel_scan(f, eps, window, step) == dense_sublevel_scan(f, eps, window, step)
+    assert sum(sizes) > ap._CHUNK and max(sizes) <= 3.25 * ap._CHUNK + 2
