@@ -42,20 +42,21 @@ class IntervalSet:
 
     def __post_init__(self):
         lo, hi = self.window
+        if not all(math.isfinite(v) for v in (lo, hi, self.step, self.eps)):
+            raise ValueError("window, step and eps must be finite")
         tol = 1e-12 * max(1.0, abs(lo), abs(hi))
         for seq in (self.inner, self.outer):
             prev = lo
             for a, b in seq:
-                if a > b or a < lo - tol or b > hi + tol:
+                if not (lo - tol <= a <= b <= hi + tol):  # also false for a NaN endpoint
                     raise ValueError("interval outside window or inverted")
                 if a < prev - tol:
                     raise ValueError("intervals not sorted/disjoint")
                 prev = b
         # an inner (a, b) is contained iff some outer (c, d) has c <= a + tol and
         # d >= b - tol: bisect the sorted starts, then compare the running
-        # maximum of the ends. The filter drops only outers with a NaN endpoint,
-        # which contain nothing; a NaN inner fails the last comparisons.
-        outer = sorted(iv for iv in self.outer if iv[0] <= iv[1])
+        # maximum of the ends
+        outer = sorted(self.outer)
         starts = [c for c, _ in outer]
         max_end = list(itertools.accumulate((d for _, d in outer), max))
         for a, b in self.inner:

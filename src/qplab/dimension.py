@@ -33,7 +33,6 @@ MAX_CELLS = 2**27
 MAX_SEGMENT_POINTS = 2**24
 # hull grids and orbit segments are SAFETY times finer than the radius needs
 SAFETY = 4.0
-_SCATTER_CHUNK = 2**14  # grid greedy: flat indices per scatter batch of an n >= 3 line's balls
 _TABLE_CELLS = 64  # grid greedy: unset cells from which a line's chain is cheaper from a table than walked
 _REACH_PROBES = 4096  # _reach: offsets per metric call, so a half-axis of up to this many takes one call
 
@@ -249,11 +248,16 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
     stencil row is a run of half-width h along the last axis; it ORs the line's
     centers, grown by h cells, into its line through a slice of the rows after
     the line's row, or of the last planes if it wraps below line 0. For n >= 3
-    each stencil cell's flat index is its line's start plus its last-axis
-    offset, moved by m past an end of the line, and each batch of balls is one
-    scatter. A ball wraps onto itself only when an axis has m even and reach
-    m/2; its stencil then holds the cell at offset +-m/2 twice, and marking a
-    cell twice does nothing.
+    a line with no unset cell past its first ball's reach holds that ball
+    alone, found without the chain, and each ball is one scatter of a fixed
+    array of flat offsets through a view of the flags: on a line whose stencil
+    wraps on no head axis, the offsets of the stencil cells on later lines;
+    otherwise each stencil row is routed to its line, and a row on the line
+    itself or before it marks the line instead, whose cells are not read
+    again. A ball that wraps past an end of the line moves those marks by m.
+    A ball wraps onto itself only when an axis has m even and reach m/2; its
+    stencil then holds the cell at offset +-m/2 twice, and marking a cell
+    twice does nothing.
 
     Flags live in one buffer: W + ceil(W/2) held lines from line ``origin`` on,
     where no ball read on a line marks W or more lines past it, then the last
@@ -261,8 +265,8 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
     reach. Once the scan is ceil(W/2) lines past origin, the held lines slide up
     to its line, but never past the last planes. Marks before origin are
     dropped, since every cell before the scan is covered; where a scattered
-    mark lands depends only on its line, so it is routed once per line. This is
-    exact because:
+    mark lands depends only on its stencil row and line, so it is routed once
+    per row and line. This is exact because:
     - before the last slide the scan is less than ceil(W/2) lines past origin,
       so no mark reaches past origin + held;
     - marks past the held lines come only from balls that wrap below 0 along
@@ -292,16 +296,18 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
     coords = np.nonzero(mask)  # lexicographic order, offset o_k stored as o_k + r_k
     last = coords[-1] - r  # offsets along the last axis, in [-r, r]
     head_offsets = sum(coords[k] * head_strides[k] for k in range(n - 1))
+    rows, row_cells = np.unique(head_offsets, return_counts=True)  # the stencil rows, in order
     # stencil cells from `ahead` on fall on lines after the line of the first unset
     # cell; the others fall on that line or earlier ones, which are never read again,
     # unless the ball wraps past 0 along a head axis onto a later line
     own = sum((reaches[k] - advances[k]) * head_strides[k] for k in range(n - 1))  # the line itself
     ahead = int(np.searchsorted(head_offsets, own, "right"))
-    # on a line whose stencil wraps on no head axis, those cells lie at flat_ahead
+    # on a line whose stencil wraps on no head axis, those cells lie at lo + flat_ahead
     # from the start of the line at head coordinates x_k + b_k - r_k
-    flat_ahead = sum(
-        (coords[k][ahead:] * math.prod(cells[k + 1 :]) for k in range(n - 1)), last[ahead:]
-    )
+    last_ahead = last[ahead:]
+    flat_ahead = sum((coords[k][ahead:] * math.prod(cells[k + 1 :]) for k in range(n - 1)), last_ahead)
+    lo = int(flat_ahead.min()) if flat_ahead.size else 0
+    flat_ahead -= lo
     lines = math.prod(cells[:-1])
     plane = math.prod(cells[1:-1])  # lines per step along axis 0
     reach_lines = (advances[0] + reaches[0] + 1) * plane
@@ -312,7 +318,6 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
     flags = np.zeros((held + lines - split) * m, dtype=bool)
     origin = 0
     scan = flags[: held * m] if held < split else flags  # the rows the scan reads
-    chunk = max(1, _SCATTER_CHUNK // last.size)
     if n == 2:
         half = np.count_nonzero(mask, axis=1) // 2  # of each stencil row's run of the last axis
         behind = reaches[0] - advances[0]  # the line's own stencil row
@@ -338,16 +343,18 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
         line, p = divmod(i, m)
         start = line * m
         line += origin
-        key, first, fast = 0, ahead, True
+        key, fast = 0, True
         for k in range(n - 2, -1, -1):
             line, x = divmod(line, cells[k])
             key += (x + advances[k]) * head_strides[k]
-            if x + advances[k] < reaches[k]:
-                first = 0
             fast = fast and reaches[k] <= x + advances[k] < cells[k] - reaches[k]
         # the line's balls: only the first can wrap past 0, and the read stops short of its tail
-        centers = _ball_centers(~flags[start + p : start + m + min(0, p + a - w)], p, a, w)
-        count += centers.size
+        end = start + m + min(0, p + a - w)
+        if n > 2 and flags[start + p + a + w + 1 : end].all():
+            centers = [p + a]  # no unset cell past the first ball's reach
+        else:
+            centers = _ball_centers(~flags[start + p : end], p, a, w)
+        count += len(centers)
         if n == 2:
             # each stencil row ORs the line's centers, grown to its half-width, into its line
             grown = dilate(centers)
@@ -357,31 +364,23 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
             if wrap > 0:
                 marks[held + cells[0] - wrap - split :][:wrap] |= grown[half[:wrap]]
         else:
+            # the ball at c marks flags[base + c + idx], through a view from base + c >= 0
+            # unless it wraps past an end of the line
             if fast:
-                offsets = last[ahead:]
-                base = heads[key] - origin * m
-                cells_of_line = flat_ahead
+                base, idx, offsets = int(heads[key]) - origin * m + lo, flat_ahead, last_ahead
             else:
-                # lines past the held ones are in the last planes' rows; those before origin are covered
-                starts = heads[key:][head_offsets[first:]] - origin * m
-                starts[starts >= held * m] += (origin + held - split) * m
-                kept = starts >= 0
-                offsets = last[first:][kept]
-                base = 0
-                cells_of_line = starts[kept] + offsets
-            for lo in range(0, centers.size, chunk):
-                batch = centers[lo : lo + chunk]
-                idx = np.add.outer(batch + base, cells_of_line)
-                # centers are ascending: only the first and last balls wrap past an end of the line
-                for b, c in enumerate(batch):
-                    if c >= r:
-                        break
-                    np.add(idx[b], m, out=idx[b], where=offsets < -c)
-                for b in range(batch.size - 1, -1, -1):
-                    if batch[b] + r < m:
-                        break
-                    np.subtract(idx[b], m, out=idx[b], where=offsets >= m - batch[b])
-                flags[idx] = True
+                # route each stencil row: lines past the held ones are in the last planes' rows,
+                # and a row on this line or before it would mark covered cells, so it marks this line
+                starts = heads[key:][rows] - (origin * m + start)
+                starts[starts >= held * m - start] += (origin + held - split) * m
+                idx = np.repeat(np.maximum(starts, 0), row_cells) + coords[-1]  # from the line's start - r
+                base, offsets = start - r, last
+            for c in centers:
+                if r <= c < m - r:
+                    flags[base + c :][idx] = True
+                else:
+                    # the ball wraps past an end of the line: those marks move by m
+                    flags[idx + (base + c) - m * ((offsets + c) // m)] = True
         i = _next_unset(scan, start + m)
 
 

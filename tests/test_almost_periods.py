@@ -281,6 +281,30 @@ def test_interval_set_validation():
         IntervalSet(window=(0.0, 1.0), inner=(), outer=((0.6, 0.7), (0.1, 0.2)), step=0.01, eps=0.1)
 
 
+@pytest.mark.parametrize(
+    "window,outer",
+    [
+        ((0.0, 10.0), ((math.nan, 5.0),)),
+        ((0.0, 10.0), ((1.0, 2.0), (math.nan, 5.0))),
+        ((0.0, 10.0), ((1.0, math.nan),)),
+        ((0.0, math.nan), ((1.0, 2.0),)),
+        ((-math.inf, 10.0), ((1.0, 2.0),)),
+    ],
+)
+def test_interval_set_rejects_nan_endpoints_and_windows(window, outer):
+    # no comparison with NaN is true, so a check that looks for a bad order passes
+    # these; inclusion_length would then read (0, 10), (5, 10), (1, 10), (1, nan)
+    # and (inf, inf) from them
+    with pytest.raises(ValueError):
+        IntervalSet(window=window, inner=(), outer=outer, step=0.01, eps=0.1)
+
+
+@pytest.mark.parametrize("step,eps", [(math.nan, 0.1), (math.inf, 0.1), (0.01, math.nan), (0.01, -math.inf)])
+def test_interval_set_rejects_non_finite_step_and_eps(step, eps):
+    with pytest.raises(ValueError, match="finite"):
+        IntervalSet(window=(0.0, 10.0), inner=(), outer=((1.0, 2.0),), step=step, eps=eps)
+
+
 def test_interval_set_many_intervals_accepted():
     outer = tuple((float(k), k + 0.5) for k in range(10_000))
     inner = tuple((k + 0.1, k + 0.4) for k in range(10_000))

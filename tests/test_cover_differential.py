@@ -3,7 +3,7 @@
 The torus-grid greedy works one line of the last axis at a time, marks a
 line's balls together (for n = 2 by growing the line's centers to each stencil
 row's half-width and ORing them through two slices of the flags, the rows after
-the line's own and the rows that wrap below line 0, otherwise in one scatter),
+the line's own and the rows that wrap below line 0, otherwise one scatter per ball),
 and holds its flags for a band of lines that slides until it meets the grid's
 last planes; the orbit-segment greedy marks each ball's lag offsets, the k with
 D(k h) below the radius. Both must give exactly the counts
@@ -353,8 +353,8 @@ def _all_grids(golden, sqrt23):
     return grids + [_random_grid(seed) for seed in range(16)]
 
 
-# grids whose line is longer than _SCATTER_CHUNK cells: n = 1, counted in closed form,
-# then n = 2, where such a line is read in one piece and its balls grown and marked together
+# grids whose lines hold more than 2**14 cells: n = 1, counted in closed form, then
+# n = 2, where such a line is read in one piece and its balls grown and marked together
 LONG_LINE_GRIDS = [
     ((40000,), (1.0,), 0.001),
     ((70001,), (0.7,), 0.0004),
@@ -367,7 +367,7 @@ LONG_LINE_GRIDS = [
 @pytest.mark.parametrize("cells,weights,eps", LONG_LINE_GRIDS)
 def test_long_line_grid_matches_per_ball(cells, weights, eps):
     grid = TorusGridSample(cells=cells, weights=weights)
-    assert grid.cells[-1] > dimension._SCATTER_CHUNK
+    assert grid.cells[-1] > 2**14
     assert grid_counts(grid, eps) == reference_grid_counts(grid, eps)
 
 
@@ -554,16 +554,19 @@ def test_window_grid_layout_case_occurs(monkeypatch, kind, cells, weights, eps):
 
 
 def _lines_read(monkeypatch, grid, radius, advances):
-    """(x, origin, row) of every line an n = 2 walk reads: the line x from the first
-    unset cells of the per-ball reference, its buffer row from the scan after it."""
+    """(x, origin, row, centers) of every line a walk reads: the line x and the
+    last-axis centers p + a of its balls, p their first unset cells, from the per-ball
+    reference, and the line's buffer row from the scan after it."""
     m = grid.cells[-1]
     lines = []
     reference_scan = _next_unset
 
     def recording(flat, start, block=512):
         i = reference_scan(flat, start, block)
-        if i >= 0 and (not lines or lines[-1] != i // m):
-            lines.append(i // m)
+        if i >= 0:
+            if not lines or lines[-1][0] != i // m:
+                lines.append((i // m, []))
+            lines[-1][1].append(i % m + advances[-1])
         return i
 
     with monkeypatch.context() as patch:
@@ -572,7 +575,7 @@ def _lines_read(monkeypatch, grid, radius, advances):
     # every scan but the first and those after a slide starts on the line after a read one
     rows = [start // m - 1 for _, start in _scan_calls(monkeypatch, grid, radius, advances) if start >= m]
     assert len(rows) == len(lines)
-    return [(x, x - row, row) for x, row in zip(lines, rows)]
+    return [(x, x - row, row, centers) for (x, centers), row in zip(lines, rows)]
 
 
 # n = 2 grids on which an edge of the two slices that mark a line's stencil rows occurs:
@@ -600,7 +603,7 @@ def test_marking_slice_case_occurs(monkeypatch, cells, weights, eps, case):
         w = _layout(grid, radius, adv)
         ahead = w.r0 + adv[0]  # stencil rows after the line's own
         rows = w.held + w.lines - w.split  # the buffer's lines
-        for x, origin, row in _lines_read(monkeypatch, grid, radius, adv):
+        for x, origin, row, _ in _lines_read(monkeypatch, grid, radius, adv):
             wrap = w.r0 - adv[0] - x  # stencil rows that wrap below line 0
             if case == "wrap_after_slide":
                 occurs |= wrap > 0 and origin > 0
@@ -613,6 +616,88 @@ def test_marking_slice_case_occurs(monkeypatch, cells, weights, eps, case):
     assert grid_counts(grid, eps) == reference_grid_counts(grid, eps)
 
 
+def _stencil_rows(grid, radius):
+    """Head offsets (o_0, ..., o_{n-2}) of the rows of the ball's stencil, one row each."""
+    reaches = [_reach(grid, axis, radius) for axis in range(len(grid.cells))]
+    mask = _grid_ball_mask(grid, reaches, radius)
+    box = [np.arange(-r, r + 1) for r in reaches[:-1]]
+    rows = np.stack(np.meshgrid(*box, indexing="ij"), axis=-1).reshape(-1, len(box))
+    return rows if mask is None else rows[mask.any(axis=-1).reshape(-1)]
+
+
+def _marking_cases(monkeypatch, grid, radius, advances):
+    """The n >= 3 marking cases one walk meets, with the balls of each line read from
+    the per-ball reference; the grid greedy must count the reference's balls and take
+    the chain on exactly the lines with more than one ball."""
+    cells, m = grid.cells, grid.cells[-1]
+    reaches = [_reach(grid, axis, radius) for axis in range(len(cells))]
+    r = reaches[-1]
+    chains = []
+    ball_centers = dimension._ball_centers
+
+    def chain(unset, p, a, w):
+        centers = ball_centers(unset, p, a, w)
+        chains.append(centers.tolist())
+        return centers
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dimension, "_ball_centers", chain)
+        read = _lines_read(monkeypatch, grid, radius, advances)
+    assert chains == [centers for *_, centers in read if len(centers) > 1]
+    assert dimension._grid_greedy(grid, radius, advances) == sum(len(centers) for *_, centers in read)
+    rows = _stencil_rows(grid, radius)
+    cases = set()
+    for x, origin, _, centers in read:
+        cases.add("one_ball" if len(centers) == 1 else "chain")
+        if centers[0] < r:
+            cases.add("wrap_at_start")
+        if centers[-1] >= m - r:
+            cases.add("wrap_at_end")
+        if "rows_behind" in cases:
+            continue
+        # the ball's head coordinates; a row wraps on a head axis when it leaves [0, m_k)
+        y = np.add(np.unravel_index(x, cells[:-1]), advances[:-1])
+        if any(not r_k <= y_k < m_k - r_k for y_k, r_k, m_k in zip(y, reaches, cells)):
+            targets = np.ravel_multi_index(tuple((y + rows).T), cells[:-1], mode="wrap")
+            if (targets < origin).any():
+                # rows on lines before the buffer's first: the walk marks this line instead
+                cases.add("rows_behind")
+    return cases
+
+
+def _marking_grids(n, count, seed):
+    """Seeded n-axis chord grids, long along axis 0 so that the held lines slide, with
+    a last axis a few balls long."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        cells = (int(rng.integers(40, 70)), *rng.integers(7, 12, n - 2).tolist(), int(rng.integers(12, 24)))
+        weights = tuple(rng.uniform(0.5, 1.5, n).tolist())
+        eps = round(float(rng.uniform(0.4, 0.7)) * np.mean(weights), 4)
+        out.append((TorusGridSample(cells, weights), eps))
+    return out
+
+
+MARKING_CASES = {"one_ball", "chain", "wrap_at_start", "wrap_at_end", "rows_behind"}
+
+
+@pytest.mark.parametrize("grids", ["sqrt23", "n3", "n4"])
+def test_marking_case_occurs(monkeypatch, sqrt23, grids):
+    # n >= 3: a line of one ball skips the chain, a line of more takes it, a ball wraps
+    # past either end of the last axis, and a line whose stencil wraps on a head axis
+    # has rows on lines behind the buffer, which mark the line itself instead; each
+    # occurs on sqrt23's hull grid and on some of the seeded n = 3 and n = 4 grids
+    if grids == "sqrt23":
+        cases = [(TorusGridSample.hull_grid(sqrt23, 0.5), 0.5)]
+    else:
+        cases = _marking_grids(3, 4, 7000) if grids == "n3" else _marking_grids(4, 4, 7100)
+    met = set()
+    for grid, eps in cases:
+        for radius, adv in _walks(grid, eps):
+            met |= _marking_cases(monkeypatch, grid, radius, adv)
+    assert met == MARKING_CASES
+
+
 @pytest.fixture(scope="module")
 def small_grid_references(golden, sqrt23):
     """(grid, eps, reference counts) of every torus-grid case above with at most 3e5 cells."""
@@ -622,11 +707,11 @@ def small_grid_references(golden, sqrt23):
     ]
 
 
-@pytest.mark.parametrize("chunk", [3, 7, 64])
-def test_small_scan_windows_match_per_ball(monkeypatch, small_grid_references, chunk):
-    # _SCATTER_CHUNK sizes scatter batches only: batches of a few flat indices mark
-    # an n >= 3 line's balls one or a few at a time
-    monkeypatch.setattr(dimension, "_SCATTER_CHUNK", chunk)
+@pytest.mark.parametrize("table_cells", [1, 3, 64])
+def test_small_scan_windows_match_per_ball(monkeypatch, small_grid_references, table_cells):
+    # _TABLE_CELLS picks how a line's chain of balls is found: from 1 unset cell on
+    # every line takes the searchsorted table, from 3 on short lines are walked in order
+    monkeypatch.setattr(dimension, "_TABLE_CELLS", table_cells)
     for grid, eps, reference in small_grid_references:
         assert grid_counts(grid, eps) == reference, (grid.cells, grid.weights, eps)
 
