@@ -249,15 +249,15 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
     centers, grown by h cells, into its line through a slice of the rows after
     the line's row, or of the last planes if it wraps below line 0. For n >= 3
     a line with no unset cell past its first ball's reach holds that ball
-    alone, found without the chain, and each ball is one scatter of a fixed
-    array of flat offsets through a view of the flags: on a line whose stencil
-    wraps on no head axis, the offsets of the stencil cells on later lines;
-    otherwise each stencil row is routed to its line, and a row on the line
-    itself or before it marks the line instead, whose cells are not read
-    again. A ball that wraps past an end of the line moves those marks by m.
-    A ball wraps onto itself only when an axis has m even and reach m/2; its
-    stencil then holds the cell at offset +-m/2 twice, and marking a cell
-    twice does nothing.
+    alone, found without the chain, and a ball is one scatter of flat offsets
+    through a view of the flags: on a line whose stencil wraps on no head axis,
+    a fixed array of the stencil cells on later lines, sorted along the last
+    axis; otherwise the stencil rows after the line's own (all, if one may wrap
+    below 0) routed to their lines, where a row on the line or before it marks
+    the line itself. A ball that wraps past an end of the line moves those
+    marks by m. A ball wraps onto itself only when an axis has m even and
+    reach m/2; its stencil then holds the cell at offset +-m/2 twice, and
+    marking a cell twice does nothing.
 
     Flags live in one buffer: W + ceil(W/2) held lines from line ``origin`` on,
     where no ball read on a line marks W or more lines past it, then the last
@@ -302,10 +302,13 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
     # unless the ball wraps past 0 along a head axis onto a later line
     own = sum((reaches[k] - advances[k]) * head_strides[k] for k in range(n - 1))  # the line itself
     ahead = int(np.searchsorted(head_offsets, own, "right"))
+    ahead_row = int(np.searchsorted(rows, own, "right"))
     # on a line whose stencil wraps on no head axis, those cells lie at lo + flat_ahead
-    # from the start of the line at head coordinates x_k + b_k - r_k
-    last_ahead = last[ahead:]
-    flat_ahead = sum((coords[k][ahead:] * math.prod(cells[k + 1 :]) for k in range(n - 1)), last_ahead)
+    # from the start of the line at head coordinates x_k + b_k - r_k; by last-axis
+    # offset, so that the marks a ball moves past an end of the line are a head or a tail
+    order = ahead + np.argsort(last[ahead:], kind="stable")
+    last_ahead = last[order]
+    flat_ahead = sum((coords[k][order] * math.prod(cells[k + 1 :]) for k in range(n - 1)), last_ahead)
     lo = int(flat_ahead.min()) if flat_ahead.size else 0
     flat_ahead -= lo
     lines = math.prod(cells[:-1])
@@ -343,10 +346,12 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
         line, p = divmod(i, m)
         start = line * m
         line += origin
-        key, fast = 0, True
+        key, fast, first, cell = 0, True, ahead_row, ahead
         for k in range(n - 2, -1, -1):
             line, x = divmod(line, cells[k])
             key += (x + advances[k]) * head_strides[k]
+            if x + advances[k] < reaches[k]:
+                first, cell = 0, 0  # a row before the line's own may wrap below 0 onto a later line
             fast = fast and reaches[k] <= x + advances[k] < cells[k] - reaches[k]
         # the line's balls: only the first can wrap past 0, and the read stops short of its tail
         end = start + m + min(0, p + a - w)
@@ -369,17 +374,22 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
             if fast:
                 base, idx, offsets = int(heads[key]) - origin * m + lo, flat_ahead, last_ahead
             else:
-                # route each stencil row: lines past the held ones are in the last planes' rows,
-                # and a row on this line or before it would mark covered cells, so it marks this line
-                starts = heads[key:][rows] - (origin * m + start)
+                # route each stencil row from the first that can land after this line: lines past the held
+                # ones are in the last planes' rows, and a row on this line or before it marks this line
+                starts = heads[key:][rows[first:]] - (origin * m + start)
                 starts[starts >= held * m - start] += (origin + held - split) * m
-                idx = np.repeat(np.maximum(starts, 0), row_cells) + coords[-1]  # from the line's start - r
-                base, offsets = start - r, last
+                idx = np.repeat(np.maximum(starts, 0), row_cells[first:]) + coords[-1][cell:]
+                base, offsets = start - r, last[cell:]  # idx counts from the line's start - r
             for c in centers:
                 if r <= c < m - r:
                     flags[base + c :][idx] = True
-                else:
-                    # the ball wraps past an end of the line: those marks move by m
+                elif fast:  # the ball wraps past an end: marks at offsets below -c, or from m - c on, move by m
+                    moved = idx + (base + c)
+                    below, beyond = np.searchsorted(offsets, (-c, m - c))
+                    moved[:below] += m
+                    moved[beyond:] -= m
+                    flags[moved] = True
+                else:  # the same on a routed line, whose offsets are not sorted
                     flags[idx + (base + c) - m * ((offsets + c) // m)] = True
         i = _next_unset(scan, start + m)
 

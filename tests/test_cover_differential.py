@@ -646,22 +646,29 @@ def _marking_cases(monkeypatch, grid, radius, advances):
     assert chains == [centers for *_, centers in read if len(centers) > 1]
     assert dimension._grid_greedy(grid, radius, advances) == sum(len(centers) for *_, centers in read)
     rows = _stencil_rows(grid, radius)
+    # the rows after the ball's own row, the one through the line itself
+    after = [tuple(row) > tuple(-b for b in advances[:-1]) for row in rows.tolist()]
     cases = set()
     for x, origin, _, centers in read:
         cases.add("one_ball" if len(centers) == 1 else "chain")
-        if centers[0] < r:
-            cases.add("wrap_at_start")
-        if centers[-1] >= m - r:
-            cases.add("wrap_at_end")
-        if "rows_behind" in cases:
-            continue
-        # the ball's head coordinates; a row wraps on a head axis when it leaves [0, m_k)
+        # the ball's head coordinates; a row wraps on a head axis when it leaves [0, m_k),
+        # and the walk routes the rows of a line whose stencil may wrap
         y = np.add(np.unravel_index(x, cells[:-1]), advances[:-1])
-        if any(not r_k <= y_k < m_k - r_k for y_k, r_k, m_k in zip(y, reaches, cells)):
-            targets = np.ravel_multi_index(tuple((y + rows).T), cells[:-1], mode="wrap")
-            if (targets < origin).any():
-                # rows on lines before the buffer's first: the walk marks this line instead
-                cases.add("rows_behind")
+        routed = any(not r_k <= y_k < m_k - r_k for y_k, r_k, m_k in zip(y, reaches, cells))
+        line = "routed" if routed else "fixed"
+        if centers[0] < r:
+            cases.add(f"wrap_at_start_{line}")
+        if centers[-1] >= m - r:
+            cases.add(f"wrap_at_end_{line}")
+        if not routed:
+            continue
+        # rows after the line's own, or all of them if a row before it may wrap below 0
+        below = any(y_k < r_k for y_k, r_k in zip(y, reaches))
+        cases.add("every_row" if below else "rows_after")
+        targets = np.ravel_multi_index(tuple((y + rows[np.logical_or(after, below)]).T), cells[:-1], mode="wrap")
+        if (targets < origin).any():
+            # routed rows on lines before the buffer's first: the walk marks this line instead
+            cases.add("rows_behind")
     return cases
 
 
@@ -678,15 +685,20 @@ def _marking_grids(n, count, seed):
     return out
 
 
-MARKING_CASES = {"one_ball", "chain", "wrap_at_start", "wrap_at_end", "rows_behind"}
+MARKING_CASES = {
+    "one_ball", "chain", "every_row", "rows_after", "rows_behind",
+    *(f"wrap_at_{end}_{line}" for end in ("start", "end") for line in ("fixed", "routed")),
+}
 
 
 @pytest.mark.parametrize("grids", ["sqrt23", "n3", "n4"])
 def test_marking_case_occurs(monkeypatch, sqrt23, grids):
     # n >= 3: a line of one ball skips the chain, a line of more takes it, a ball wraps
-    # past either end of the last axis, and a line whose stencil wraps on a head axis
-    # has rows on lines behind the buffer, which mark the line itself instead; each
-    # occurs on sqrt23's hull grid and on some of the seeded n = 3 and n = 4 grids
+    # past either end of the last axis on a line with the fixed stencil and on a routed
+    # one, a routed line routes the rows after its own or, if a row before it may wrap
+    # below 0, all of them, and some routed rows land on lines behind the buffer, which
+    # mark the line itself instead; each occurs on sqrt23's hull grid and on some of the
+    # seeded n = 3 and n = 4 grids
     if grids == "sqrt23":
         cases = [(TorusGridSample.hull_grid(sqrt23, 0.5), 0.5)]
     else:
