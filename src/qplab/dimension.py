@@ -251,13 +251,13 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
     a line with no unset cell past its first ball's reach holds that ball
     alone, found without the chain, and a ball is one scatter of flat offsets
     through a view of the flags: on a line whose stencil wraps on no head axis,
-    a fixed array of the stencil cells on later lines, sorted along the last
-    axis; otherwise the stencil rows after the line's own (all, if one may wrap
-    below 0) routed to their lines, where a row on the line or before it marks
-    the line itself. A ball that wraps past an end of the line moves those
-    marks by m. A ball wraps onto itself only when an axis has m even and
-    reach m/2; its stencil then holds the cell at offset +-m/2 twice, and
-    marking a cell twice does nothing.
+    a fixed array of the stencil cells on later lines; otherwise the stencil
+    rows after the line's own (all, if one may wrap below 0) routed to their
+    lines, where a row on the line or before it marks the line itself. A ball
+    that wraps past an end of the line moves those marks by m. A ball wraps
+    onto itself only when an axis has m even and reach m/2; its stencil then
+    holds the cell at offset +-m/2 twice, and marking a cell twice does
+    nothing.
 
     Flags live in one buffer: W + ceil(W/2) held lines from line ``origin`` on,
     where no ball read on a line marks W or more lines past it, then the last
@@ -304,11 +304,9 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
     ahead = int(np.searchsorted(head_offsets, own, "right"))
     ahead_row = int(np.searchsorted(rows, own, "right"))
     # on a line whose stencil wraps on no head axis, those cells lie at lo + flat_ahead
-    # from the start of the line at head coordinates x_k + b_k - r_k; by last-axis
-    # offset, so that the marks a ball moves past an end of the line are a head or a tail
-    order = ahead + np.argsort(last[ahead:], kind="stable")
-    last_ahead = last[order]
-    flat_ahead = sum((coords[k][order] * math.prod(cells[k + 1 :]) for k in range(n - 1)), last_ahead)
+    # from the start of the line at head coordinates x_k + b_k - r_k
+    last_ahead = last[ahead:]
+    flat_ahead = sum((coords[k][ahead:] * math.prod(cells[k + 1 :]) for k in range(n - 1)), last_ahead)
     lo = int(flat_ahead.min()) if flat_ahead.size else 0
     flat_ahead -= lo
     lines = math.prod(cells[:-1])
@@ -383,13 +381,8 @@ def _grid_greedy(sample: TorusGridSample, radius: float, advances: Sequence[int]
             for c in centers:
                 if r <= c < m - r:
                     flags[base + c :][idx] = True
-                elif fast:  # the ball wraps past an end: marks at offsets below -c, or from m - c on, move by m
-                    moved = idx + (base + c)
-                    below, beyond = np.searchsorted(offsets, (-c, m - c))
-                    moved[:below] += m
-                    moved[beyond:] -= m
-                    flags[moved] = True
-                else:  # the same on a routed line, whose offsets are not sorted
+                else:
+                    # the ball wraps past an end of the line: those marks move by m
                     flags[idx + (base + c) - m * ((offsets + c) // m)] = True
         i = _next_unset(scan, start + m)
 
